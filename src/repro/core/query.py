@@ -415,7 +415,7 @@ class QueryEngine:
     def submit(self, sources) -> tuple[np.ndarray, dict[str, Any]]:
         """Batch-submission hook: like :meth:`query`, but also returns the
         per-batch execution record ``{"rows", "shards", "wall_s",
-        "cached_rows"}`` — what a serving layer needs for coalesce-factor /
+        "cached_rows", "weights_epoch"}`` — what a serving layer needs for coalesce-factor /
         fan-out metrics without re-deriving the sharding.  Thread-safe:
         concurrent submitters are serialized on the engine lock (shards of
         *one* batch still run in parallel across the pool).
@@ -480,6 +480,7 @@ class QueryEngine:
                 "shards": int(nshards),
                 "wall_s": time.perf_counter() - t0,
                 "cached_rows": int(cached_rows),
+                "weights_epoch": self.weights_epoch,
             }
             self.last_batch = info
         return (dist[0] if single else dist), info

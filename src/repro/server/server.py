@@ -176,9 +176,17 @@ class OracleServer:
         # The graph whose weights are *currently served* — tracks every
         # accepted ``reweight`` (``self.oracle.graph`` would go stale on
         # the fleet path, where the router reweights but the build oracle
-        # is not re-derived).  Source validation and path reconstruction
-        # must read this one.
+        # is not re-derived).  Source validation and reweight parsing
+        # read this one.
         self._graph = oracle.graph
+        # The served graph per weights epoch.  A batch's rows come from
+        # the epoch its ``info`` names, which a concurrent reweight may
+        # already have moved past, so path reconstruction walks that
+        # epoch's graph.  A reweight registers its epoch before the flip;
+        # each batch drops the epochs older than its own (a registration
+        # is always newer than any finished batch, so the two threads
+        # never touch one key).
+        self._graphs: dict[int, Any] = {}
         self._reweight_lock = threading.Lock()
         self._server: asyncio.AbstractServer | None = None
         self._queue: asyncio.Queue | None = None
@@ -235,6 +243,7 @@ class OracleServer:
             self.engine,
             context="engine_factory result" if self.engine_factory else "engine",
         )
+        self._graphs[int(self.engine.weights_epoch)] = self._graph
         self._batcher = asyncio.create_task(self._batch_loop())
         cfg = self.server_config
         if cfg.path is not None:
@@ -456,23 +465,29 @@ class OracleServer:
                     new_oracle = self.oracle.with_new_weights(
                         weight_delta=(edges, values)
                     )
+                epoch = int(getattr(new_oracle.augmentation, "weights_epoch", 0))
+                self._graphs[epoch] = new_oracle.graph
                 self.engine.reweight(new_oracle.augmentation)
                 old, self.oracle = self.oracle, new_oracle
                 old.close()
                 self._graph = new_oracle.graph
-                epoch = int(getattr(new_oracle.augmentation, "weights_epoch", 0))
                 mode = "engine"
             elif hasattr(self.engine, "reweight"):
                 # Fleet path: the router wants the full vector (it slices
                 # per-shard local weights out of it); a delta additionally
-                # names the dirty ids so shards replay sparsely.
+                # names the dirty ids so shards replay sparsely.  Reweights
+                # are serialized here, so the router's next epoch is known.
+                g = self._graph
                 if weight is None:
-                    weight = self._graph.weight.copy()
+                    weight = g.weight.copy()
                     weight[edges] = values
-                    res = self.engine.reweight(weight, dirty=edges)
-                else:
+                new_graph = type(g)(g.n, g.src, g.dst, weight)
+                self._graphs[int(self.engine.weights_epoch) + 1] = new_graph
+                if edges is None:
                     res = self.engine.reweight(weight)
-                self._graph = self.engine.graph
+                else:
+                    res = self.engine.reweight(weight, dirty=edges)
+                self._graph = new_graph
                 epoch = int(res["weights_epoch"])
                 mode = "fleet"
             else:
@@ -548,18 +563,22 @@ class OracleServer:
         self._pending_rows += pending.rows
         self._queue.put_nowait(pending)
         try:
-            rows = await asyncio.wait_for(pending.fut, timeout_ms / 1e3)
+            rows, graph = await asyncio.wait_for(pending.fut, timeout_ms / 1e3)
         except asyncio.TimeoutError:
             # The batch still completes server-side; only the response is
             # given up (the batcher skips done/cancelled futures).
             raise ServerError(
                 TIMEOUT, f"timed out after {float(timeout_ms):.0f} ms"
             ) from None
-        result = self._postprocess(op, req, srcs, rows)
+        result = self._postprocess(op, req, srcs, rows, graph)
         self.metrics.record_latency(loop.time() - t0)
         return ok_response(req_id, result)
 
-    def _postprocess(self, op: str, req: dict, srcs: np.ndarray, rows: np.ndarray) -> dict:
+    def _postprocess(
+        self, op: str, req: dict, srcs: np.ndarray, rows: np.ndarray, graph
+    ) -> dict:
+        """Shape one request's answer from its rows; ``graph`` is the
+        served graph of the weights epoch the rows were computed at."""
         if op == "distances":
             return {"sources": srcs.tolist(), "distances": rows.tolist()}
         if op == "nearest_source":
@@ -572,7 +591,7 @@ class OracleServer:
         if not isinstance(target, (int,)) or not 0 <= target < rows.shape[1]:
             raise ServerError(BAD_REQUEST, "'target' must be a vertex id")
         source = int(srcs[0])
-        parent = shortest_path_tree(self._graph, source, rows[0])
+        parent = shortest_path_tree(graph, source, rows[0])
         path = reconstruct_path(parent, source, int(target))
         return {
             "source": source,
@@ -682,10 +701,16 @@ class OracleServer:
             self._pending -= len(batch)
             self._pending_rows -= sum(p.rows for p in batch)
             return
+        epoch = info.get("weights_epoch")
+        graph = self._graphs.get(epoch, self._graph)
+        if epoch is not None:
+            for old in list(self._graphs):
+                if old < epoch:
+                    self._graphs.pop(old, None)
         off = 0
         for p in batch:
             if not p.fut.done():
-                p.fut.set_result(dist[off : off + p.rows])
+                p.fut.set_result((dist[off : off + p.rows], graph))
             off += p.rows
         self._pending -= len(batch)
         self._pending_rows -= sum(p.rows for p in batch)

@@ -20,15 +20,16 @@ and §3's boundary cliques carry exact distances across that interface
   with :class:`~repro.core.query.QueryEngine`'s ``submit/query/stats/close``
   protocol so the coalescing :class:`~repro.server.OracleServer` can serve
   a fleet unchanged;
-* :mod:`~repro.shard.worker` / :mod:`~repro.shard.fleet` — one process per
-  shard, each owning its own :class:`~repro.pram.shm.ShmArena` and
-  optionally pinned with ``os.sched_setaffinity`` (NUMA-aware placement:
-  a worker's distance rows live in pages it touched first), supervised
-  with health checks and warm restart-on-crash;
-* :mod:`~repro.shard.replica` — the replicated tier: N interchangeable
-  workers per shard behind least-loaded chunked dispatch, queue-wait-p99
-  autoscale (warm spawn via the augmentation cache, drain-retire), and
-  crash-safe reweight broadcast to every replica.
+* :mod:`~repro.shard.worker` — one shard worker process owning its own
+  :class:`~repro.pram.shm.ShmArena`, optionally pinned with
+  ``os.sched_setaffinity`` (NUMA-aware placement: a worker's distance rows
+  live in pages it touched first);
+* :mod:`~repro.shard.replica` — the one supervisor of those workers
+  (:class:`~repro.shard.replica.ReplicaPool`): N workers per shard (one by
+  default) behind least-loaded chunked dispatch, health checks and warm
+  restart-on-crash, queue-wait-p99 autoscale (warm spawn via the
+  augmentation cache, drain-retire), and crash-safe reweight broadcast to
+  every replica.
 
 Entry point: :meth:`repro.core.api.ShortestPathOracle.shard_fleet` (or
 ``repro-spsp serve --shards K --replicas N [--pin] [--autoscale]``).

@@ -1,38 +1,44 @@
-"""Replicated fleet tier: :class:`ReplicaPool`.
+"""Shard worker supervision: :class:`ReplicaPool`.
 
-:class:`~repro.shard.fleet.ShardFleet` runs exactly one worker per shard,
-so one hot shard — a skewed source distribution parking 90% of a batch on
-one home shard — caps the whole system's throughput at that worker's
-relaxation rate.  The pool lifts that cap with three mechanisms:
+The pool is the one supervisor of process-backed shards: every
+``backend="process"`` :class:`~repro.shard.router.ShardRouter` runs over
+it, ``replicas=1`` (one worker per shard) included.  Its jobs:
 
+* **spawn** — all workers start concurrently, so the fleet's build time
+  is the *slowest shard*, not the sum; with ``pin=True`` workers are
+  assigned CPUs round-robin over this process's affinity mask before they
+  build, so first-touch places each shard's pages on its CPU's NUMA node.
+* **supervision** — a worker that dies (crash op, OOM kill, bug) is
+  detected on the next call or ping; its shm segments are swept and it is
+  respawned warm (a cache *load* whenever the augmentation store has the
+  shard).  A request lost to a crash, or answered from the wrong weights
+  epoch, is resent exactly once (:meth:`ReplicaPool._round_trip`).
 * **replication + least-loaded dispatch** — each shard is served by N
   interchangeable worker replicas built from the *same* shard payload
   (identical augmentation → identical rows, so replication cannot change
   results).  A shard's row group is split into chunks of at most
   :attr:`~ReplicaPool.dispatch_rows` rows, and every chunk goes to the
   replica with the fewest supervisor-side in-flight requests
-  (:attr:`~repro.shard.worker.WorkerHandle.inflight`) at send time.
+  (:attr:`~repro.shard.worker.WorkerHandle.inflight`) at send time.  One
+  hot shard — a skewed source distribution parking 90% of a batch on one
+  home shard — then no longer caps throughput at one worker's rate.
 * **autoscale** — the supervisor measures per-chunk *queue wait* (round
   trip minus the worker-reported compute wall) and, when the recent p99
   exceeds ``autoscale_target_p99_ms``, spawns one more replica for the
   hottest shard.  The spawn is asynchronous: the newcomer warms in the
-  background (its build is a cache *load* whenever the augmentation store
-  has the shard — the PR-4 warm-respawn path) and is promoted into the
-  dispatch set only once ready, so scaling never stalls serving.  When the
-  p99 falls far below target, one idle replica above the configured base
-  is drain-retired.
+  background and is promoted into the dispatch set only once ready, so
+  scaling never stalls serving.  When the p99 falls far below target, one
+  idle replica above the configured base is drain-retired.
 * **epoch-guarded reweight broadcast** — a reweight stamps the new weights
   into *every* replica's respawn payload before any request goes out
-  (crash-mid-broadcast safe, same invariant as the fleet), kills warming
-  replicas (they are building at the old weights), then broadcasts
-  send-all-then-collect and verifies every survivor reached the agreed
-  epoch.
+  (crash-mid-broadcast safe), kills warming replicas (they are building
+  at the old weights), then broadcasts send-all-then-collect and verifies
+  every survivor reached the agreed epoch.
+* **drain** — :meth:`~ReplicaPool.close` asks each worker to close its
+  engine and arena, reaps the process, and sweeps anything a
+  non-compliant worker left in ``/dev/shm``.
 
-The pool mirrors the fleet's supervisor surface (``start`` /
-``boundary_matrices`` / ``query_rows_many`` / ``reweight`` /
-``health_check`` / ``stats`` / ``close``) so
-:class:`~repro.shard.router.ShardRouter` drives either interchangeably,
-and it is a declared implementation of
+The pool is a declared implementation of
 :class:`~repro.core.protocols.ServingBackend` (``submit``/``query`` over
 ``(shard_id, local_sources)`` requests).
 """
@@ -238,6 +244,46 @@ class ReplicaPool:
         h.restarts += 1
         self.restarts_total += 1
 
+    def _round_trip(
+        self,
+        h: WorkerHandle,
+        op: str,
+        arg: Any = None,
+        *,
+        expected_epoch: int | None = None,
+        pending: bool = False,
+    ) -> Any:
+        """One request/reply with ``h`` under the pool's two supervision
+        rules.  A crash costs one warm restart and one resend.  A reply
+        computed at any weights epoch other than ``expected_epoch`` costs
+        one restart (the respawn payload carries the agreed weights and
+        epoch) and one resend; a second disagreement is an error, never a
+        silently mixed batch.  ``pending=True`` collects the reply to a
+        request already sent instead of sending one."""
+        try:
+            payload = h.recv_response() if pending else h.call(op, arg)
+        except WorkerCrash as exc:
+            _log.warning("shard %d replica %d: %s", h.shard_id, h.replica, exc)
+            self._restart(h)
+            payload = h.call(op, arg)
+        if expected_epoch is None or (
+            int(payload.get("epoch", expected_epoch)) == int(expected_epoch)
+        ):
+            return payload
+        _log.warning(
+            "shard %d replica %d: answered from weights epoch %s, "
+            "expected %d; restarting",
+            h.shard_id, h.replica, payload.get("epoch"), expected_epoch,
+        )
+        self._restart(h)
+        payload = h.call(op, arg)
+        if int(payload.get("epoch", -1)) != int(expected_epoch):
+            raise RuntimeError(
+                f"shard {h.shard_id} replica {h.replica} still at weights "
+                f"epoch {payload.get('epoch')} != {expected_epoch} after restart"
+            )
+        return payload
+
     def spawn_replica(self, sid: int) -> WorkerHandle:
         """Start one additional replica for ``sid`` in the background; it
         serves only after :meth:`_promote_warming` sees it ready."""
@@ -309,62 +355,31 @@ class ReplicaPool:
         step = max(1, int(self.dispatch_rows))
         return [local[i : i + step] for i in range(0, local.shape[0], step)]
 
-    def _least_loaded(self, sid: int) -> WorkerHandle:
-        return min(self.replicas[sid], key=lambda h: h.inflight)
-
-    def _send_chunk(
-        self,
-        sid: int,
-        chunk: np.ndarray,
-        candidates: list[WorkerHandle] | None = None,
-    ) -> tuple[WorkerHandle, float]:
-        """Send one chunk to the least-loaded replica of ``sid`` (or of
-        ``candidates``), restarting through at most one crash; returns
-        ``(handle, t_send)``."""
-        h = (
-            min(candidates, key=lambda c: c.inflight)
-            if candidates
-            else self._least_loaded(sid)
-        )
+    def _send(self, h: WorkerHandle, op: str, arg: Any = None) -> bool:
+        """Send one request without waiting; returns whether it is pending.
+        A send to a dead worker returns ``False``, and the request's
+        :meth:`_round_trip` then restarts the worker and resends."""
         try:
-            h.send_request("query", chunk)
+            h.send_request(op, arg)
+            return True
         except WorkerCrash as exc:
-            _log.warning("shard %d replica %d: %s", sid, h.replica, exc)
-            self._restart(h)
-            h.send_request("query", chunk)
-        return h, time.perf_counter()
+            _log.warning("shard %d replica %d: %s", h.shard_id, h.replica, exc)
+            return False
 
     def _collect_chunk(
         self,
         sid: int,
         h: WorkerHandle,
         chunk: np.ndarray,
+        pending: bool,
         t_send: float,
         expected_epoch: int | None,
     ) -> np.ndarray:
-        """Collect one chunk's reply (FIFO per handle), enforcing the
-        per-leg epoch guard and recording the chunk's queue wait."""
-        try:
-            payload = h.recv_response()
-        except WorkerCrash as exc:
-            _log.warning("shard %d replica %d: %s", sid, h.replica, exc)
-            self._restart(h)
-            payload = h.call("query", chunk)
-        if expected_epoch is not None and (
-            int(payload.get("epoch", expected_epoch)) != int(expected_epoch)
-        ):
-            _log.warning(
-                "shard %d replica %d: answered from weights epoch %s, "
-                "expected %d; restarting",
-                sid, h.replica, payload.get("epoch"), expected_epoch,
-            )
-            self._restart(h)
-            payload = h.call("query", chunk)
-            if int(payload.get("epoch", -1)) != int(expected_epoch):
-                raise RuntimeError(
-                    f"shard {sid} replica {h.replica} still at weights epoch "
-                    f"{payload.get('epoch')} != {expected_epoch} after restart"
-                )
+        """Collect one chunk's reply (FIFO per handle) under the supervision
+        rules of :meth:`_round_trip`, recording the chunk's queue wait."""
+        payload = self._round_trip(
+            h, "query", chunk, expected_epoch=expected_epoch, pending=pending
+        )
         wait_ms = max(
             0.0,
             (time.perf_counter() - t_send - float(payload.get("wall_s", 0.0)))
@@ -392,7 +407,7 @@ class ReplicaPool:
         relax concurrently for the whole batch.  Results are reassembled
         in request row order; because every replica holds the identical
         augmentation, the assembled rows are bit-identical to the
-        unreplicated fleet's.
+        one-replica pool's.
         """
         waiting: dict[int, deque[tuple[np.ndarray, int]]] = {}
         sizes: dict[int, int] = {}
@@ -405,7 +420,9 @@ class ReplicaPool:
                 q.append((chunk, offset))
                 offset += chunk.shape[0]
         busy: set[WorkerHandle] = set()
-        inflight: deque[tuple[int, WorkerHandle, np.ndarray, int, float]] = deque()
+        inflight: deque[tuple[int, WorkerHandle, np.ndarray, int, bool, float]] = (
+            deque()
+        )
 
         def pump(sid: int) -> None:
             q = waiting[sid]
@@ -414,16 +431,21 @@ class ReplicaPool:
                 if not idle:
                     return
                 chunk, offset = q.popleft()
-                h, t_send = self._send_chunk(sid, chunk, idle)
+                h = min(idle, key=lambda c: c.inflight)
+                pending = self._send(h, "query", chunk)
                 busy.add(h)
-                inflight.append((sid, h, chunk, offset, t_send))
+                inflight.append(
+                    (sid, h, chunk, offset, pending, time.perf_counter())
+                )
 
         for sid in waiting:
             pump(sid)
         out: dict[int, np.ndarray] = {}
         while inflight:
-            sid, h, chunk, offset, t_send = inflight.popleft()
-            rows = self._collect_chunk(sid, h, chunk, t_send, expected_epoch)
+            sid, h, chunk, offset, pending, t_send = inflight.popleft()
+            rows = self._collect_chunk(
+                sid, h, chunk, pending, t_send, expected_epoch
+            )
             busy.discard(h)
             if sid not in out:
                 out[sid] = np.empty((sizes[sid], rows.shape[1]), dtype=rows.dtype)
@@ -435,27 +457,13 @@ class ReplicaPool:
         return out
 
     def boundary_matrices(self, expected_epoch: int | None = None) -> list[np.ndarray]:
-        """Every shard's boundary-row matrix, computed on replica 0 (all
-        replicas hold the identical augmentation)."""
+        """Every shard's boundary-row matrix ``(|B(t)|, n_t)``, id order,
+        computed on replica 0 (all replicas hold the identical
+        augmentation).  ``expected_epoch`` enables the epoch guard."""
         out = []
-        for sid in range(self.plan.k):
-            h = self.replicas[sid][0]
-            try:
-                payload = h.call("boundary")
-            except WorkerCrash as exc:
-                _log.warning("shard %d replica %d: %s", sid, h.replica, exc)
-                self._restart(h)
-                payload = h.call("boundary")
-            if expected_epoch is not None and (
-                int(payload.get("epoch", expected_epoch)) != int(expected_epoch)
-            ):
-                self._restart(h)
-                payload = h.call("boundary")
-                if int(payload.get("epoch", -1)) != int(expected_epoch):
-                    raise RuntimeError(
-                        f"shard {sid} still at weights epoch "
-                        f"{payload.get('epoch')} != {expected_epoch} after restart"
-                    )
+        for group in self.replicas:
+            h = group[0]
+            payload = self._round_trip(h, "boundary", expected_epoch=expected_epoch)
             out.append(h.fetch_rows(payload))
         return out
 
@@ -534,7 +542,8 @@ class ReplicaPool:
         :attr:`_shard_weights`, so any replica that crashes at any point
         from here on is rebuilt already at the new weights; (3) requests
         are all sent, then all collected (the pool's flip time is its
-        slowest replica); (4) every survivor must report the agreed epoch.
+        slowest replica); (4) every replica must report the agreed epoch,
+        under the crash and epoch rules of :meth:`_round_trip`.
         """
         epoch = int(epoch)
         for sid in range(self.plan.k):
@@ -552,7 +561,7 @@ class ReplicaPool:
             for h in self.replicas[sid]:
                 h.set_weights(w, epoch)
         self._epoch = epoch
-        sent: list[WorkerHandle] = []
+        sent = []
         for sid, w in enumerate(shard_weights):
             arg = {
                 "weight": np.asarray(w),
@@ -560,31 +569,17 @@ class ReplicaPool:
                 "dirty": None if dirty is None else dirty[sid],
             }
             for h in self.replicas[sid]:
-                try:
-                    h.send_request("reweight", arg)
-                    sent.append(h)
-                except WorkerCrash as exc:
-                    _log.warning("shard %d replica %d: %s", sid, h.replica, exc)
-                    self._restart(h)  # respawn already serves the epoch
-        results: dict[tuple[int, int], dict[str, Any]] = {}
-        for h in sent:
-            key = (h.shard_id, h.replica)
-            try:
-                results[key] = h.recv_response()
-            except WorkerCrash as exc:
-                _log.warning("shard %d replica %d: %s", h.shard_id, h.replica, exc)
-                self._restart(h)
-                results[key] = {"epoch": epoch, "respawned": True}
-        bad = [k for k, o in results.items() if int(o.get("epoch", -1)) != epoch]
-        if bad:
-            raise RuntimeError(
-                f"replicas {bad} did not reach weights epoch {epoch}"
+                sent.append((h, arg, self._send(h, "reweight", arg)))
+        replies = {
+            (h.shard_id, h.replica): self._round_trip(
+                h, "reweight", arg, expected_epoch=epoch, pending=pending
             )
-        # Per-shard summaries in shard order, mirroring the fleet's shape.
+            for h, arg, pending in sent
+        }
+        # Per-shard summaries in shard order (replica 0's reply).
         return [
-            results.get((sid, self.replicas[sid][0].replica),
-                        {"epoch": epoch, "respawned": True})
-            for sid in range(self.plan.k)
+            replies[(sid, group[0].replica)]
+            for sid, group in enumerate(self.replicas)
         ]
 
     # ------------------------------------------------------------------ #
@@ -647,6 +642,7 @@ class ReplicaPool:
                     queue_depth=h.inflight,
                     pid=h.pid,
                     restarts=h.restarts,
+                    pinned_cpu=(h.ready_info or {}).get("pinned_cpu"),
                 )
                 workers.append(s)
             per_shard.append({

@@ -62,16 +62,15 @@ class ShardRouter:
         Target shard count (the tree may yield fewer on tiny graphs).
     backend:
         ``"inline"`` (K warm engines in this process — zero IPC) or
-        ``"process"`` (one worker process per shard, each owning its own
-        shm arena, supervised by :class:`~repro.shard.fleet.ShardFleet`).
+        ``"process"`` (worker processes, each owning its own shm arena,
+        supervised by a :class:`~repro.shard.replica.ReplicaPool`).
     pin:
         Pin each worker process to one CPU (process backend only).
     replicas:
-        Worker replicas per shard (process backend only).  ``> 1`` — or an
-        ``autoscale_target_p99_ms`` in the config — serves the fleet
-        through a :class:`~repro.shard.replica.ReplicaPool` (least-loaded
-        chunked dispatch, optional autoscale) instead of the one-worker-
-        per-shard :class:`~repro.shard.fleet.ShardFleet`.
+        Worker replicas per shard (process backend only; default 1, one
+        worker per shard).  ``> 1`` — or an ``autoscale_target_p99_ms`` in
+        the config — adds capacity behind the pool's least-loaded chunked
+        dispatch.
     """
 
     def __init__(
@@ -122,14 +121,9 @@ class ShardRouter:
             self.plan.fingerprint()[:16],
         )
         if backend == "process":
-            if replicated:
-                from .replica import ReplicaPool
+            from .replica import ReplicaPool
 
-                self._fleet = ReplicaPool(self.plan, self.config, pin=pin)
-            else:
-                from .fleet import ShardFleet
-
-                self._fleet = ShardFleet(self.plan, self.config, pin=pin)
+            self._fleet = ReplicaPool(self.plan, self.config, pin=pin)
             self._engines = None
             self._fleet.start()
             boundary_rows = self._fleet.boundary_matrices()
@@ -244,8 +238,8 @@ class ShardRouter:
                     )
                 boundary_rows = [e.boundary_matrix() for e in self._engines]
             self.spine = SpineSolver(
-            self.plan, boundary_rows, self.semiring, kernel=self.config.kernel
-        )
+                self.plan, boundary_rows, self.semiring, kernel=self.config.kernel
+            )
             self._interior_rows = [
                 np.ascontiguousarray(rows[:, shard.interior_local])
                 for shard, rows in zip(self.plan.shards, boundary_rows)
@@ -316,6 +310,7 @@ class ShardRouter:
                 "wall_s": time.perf_counter() - t0,
                 "cached_rows": 0,
                 "spine_phases": self.spine.phases_last,
+                "weights_epoch": self.weights_epoch,
             }
             self.queries_served += 1
             self.rows_served += s
@@ -330,8 +325,9 @@ class ShardRouter:
     def stats(self) -> dict[str, Any]:
         """Fleet telemetry on the canonical serving-stats schema
         (:data:`~repro.core.protocols.SERVING_STATS_KEYS`): plan shape,
-        spine, and the per-shard breakdown under ``per_shard`` (``shards``
-        is kept as a deprecated alias for one release)."""
+        spine, and the per-shard breakdown under ``per_shard`` (engine
+        counters inline; the pool's replica groups on the process
+        backend)."""
         from ..core.protocols import serving_stats
 
         with self._lock:
@@ -343,31 +339,23 @@ class ShardRouter:
                 "build_s": self.build_s,
                 "last_batch": None if self.last_batch is None else dict(self.last_batch),
             }
-        queue_depth = 0
-        queue_wait = None
-        workers = self.plan.k
-        extra: dict[str, Any] = {}
         if self._fleet is None:
             per_shard = [e.stats() for e in self._engines]
+            workers, queue_depth, queue_wait, extra = self.plan.k, 0, None, {}
         else:
             fs = self._fleet.stats()
-            if isinstance(fs, dict):  # ReplicaPool: already canonical
-                per_shard = fs["per_shard"]
-                workers = fs["workers"]
-                queue_depth = fs["queue_depth"]
-                queue_wait = fs["queue_wait_ms"]
-                extra = {
-                    key: fs[key]
-                    for key in (
-                        "base_replicas", "max_replicas",
-                        "autoscale_target_p99_ms", "scale_ups",
-                        "scale_downs", "restarts_total",
-                    )
-                }
-            else:  # ShardFleet: one worker per shard
-                per_shard = fs
-                queue_depth = sum(int(s.get("queue_depth", 0)) for s in fs)
-                extra = {"restarts_total": self._fleet.restarts_total}
+            per_shard = fs["per_shard"]
+            workers = fs["workers"]
+            queue_depth = fs["queue_depth"]
+            queue_wait = fs["queue_wait_ms"]
+            extra = {
+                key: fs[key]
+                for key in (
+                    "base_replicas", "max_replicas",
+                    "autoscale_target_p99_ms", "scale_ups",
+                    "scale_downs", "restarts_total",
+                )
+            }
         base = serving_stats(
             backend=self.backend,
             workers=workers,
@@ -383,7 +371,6 @@ class ShardRouter:
             engine="sharded",
             plan=self.plan.stats(),
             spine=self.spine.stats(),
-            shards=per_shard,  # deprecated alias of per_shard (one release)
             **extra,
         )
         return base

@@ -125,7 +125,6 @@ class TestUnifiedStatsSchema:
             assert key in s, key
         assert s["backend"] == "inline"
         assert s["engine"] == "sharded"  # deprecated alias
-        assert s["shards"] == s["per_shard"]  # deprecated alias
         assert len(s["per_shard"]) == 2
         assert s["rows_served"] == 2
 

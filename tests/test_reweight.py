@@ -359,7 +359,7 @@ class TestRouterReweight:
             assert np.array_equal(r.query(srcs), want)
             st = r.stats()
             assert st["weights_epoch"] == 2 and st["reweights"] == 2
-            assert all(s["weights_epoch"] == 2 for s in st["shards"])
+            assert all(s["weights_epoch"] == 2 for s in st["per_shard"])
         finally:
             r.close()
 
@@ -390,11 +390,15 @@ class TestFleetReweight:
         w2 = np.round(g.weight * 2.0) + 3.0
         with ShardRouter(g, tree, cfg, k=2, backend="process") as r:
             with pytest.raises(WorkerCrash):
-                r._fleet.handles[0].call("crash")
+                r._fleet.replicas[0][0].call("crash")
             assert r.reweight(w2)["weights_epoch"] == 1
             got = r.query(srcs)
             st = r.stats()
-            assert all(s["weights_epoch"] == 1 for s in st["shards"])
+            assert st["restarts_total"] == 1
+            assert all(
+                w["weights_epoch"] == 1
+                for s in st["per_shard"] for w in s["workers"]
+            )
         with ShardRouter(
             _reweighted_graph(g, w2), tree, cfg, k=2, backend="inline"
         ) as cold:

@@ -495,6 +495,65 @@ class TestReweightRPC:
                 path, dist = c.path_with_distance(0, 35)
                 assert path is not None and dist == want3[0][35]
 
+    @pytest.mark.parametrize("window", ["after_submit", "after_flip"])
+    def test_path_walks_the_graph_of_its_batch_epoch(
+        self, grid6_negative, tmp_path, window
+    ):
+        """Regression: a reweight that lands between a path batch's
+        ``engine.submit`` and its path reconstruction (``after_submit``),
+        or between the engine flip and the server's graph swap
+        (``after_flip``), must not pair rows of one weights epoch with the
+        graph of another.  Each window is forced with a hook, not a sleep:
+        the path's edge weights must sum to the returned distance, on the
+        weights of the epoch that distance comes from."""
+        g, tree = grid6_negative
+        oracle = ShortestPathOracle.build(g, tree)
+        w2 = np.abs(g.weight) + 1.0
+        g2 = type(g)(g.n, g.src, g.dst, w2)
+        hooks: list = []
+
+        def factory():
+            eng = oracle.query_engine(SERIAL)
+            inner = eng.submit if window == "after_submit" else eng.reweight
+
+            def hooked(*args):
+                out = inner(*args)
+                if hooks:
+                    hooks.pop()()
+                return out
+
+            if window == "after_submit":
+                eng.submit = hooked
+            else:
+                eng.reweight = hooked
+            return eng
+
+        answers: list = []
+        with serving(oracle, tmp_path, engine_factory=factory) as (sock, server):
+            with OracleClient(sock) as c, OracleClient(sock) as c2:
+                if window == "after_submit":
+                    # The path batch's rows are epoch 0; the reweight then
+                    # completes before its answer is postprocessed.
+                    hooks.append(lambda: server._reweight_sync(w2, None, None))
+                    answers.append(c.path_with_distance(0, 35))
+                    want_graph = g
+                else:
+                    # The engine already serves epoch 1 while the server
+                    # has not swapped its graph yet; a path request is
+                    # answered end to end inside that window.
+                    hooks.append(lambda: answers.append(c2.path_with_distance(0, 35)))
+                    assert c.reweight(w2)["weights_epoch"] == 1
+                    want_graph = g2
+                assert not hooks, "the reweight window was never hit"
+        (path, dist), = answers
+        want = ShortestPathOracle.build(want_graph, tree).distances([0])[0][35]
+        assert dist == want
+        edge_w: dict = {}
+        for u, v, w in zip(want_graph.src, want_graph.dst, want_graph.weight):
+            edge_w[(int(u), int(v))] = min(w, edge_w.get((int(u), int(v)), np.inf))
+        assert path[0] == 0 and path[-1] == 35
+        assert np.isclose(sum(edge_w[e] for e in zip(path, path[1:])), dist)
+
     def test_bad_payloads_get_400(self, grid6_negative, tmp_path):
         g, tree = grid6_negative
         oracle = ShortestPathOracle.build(g, tree)

@@ -87,6 +87,9 @@ class TestProcessFleetEquivalence:
 
 
 class TestFleetSupervision:
+    """Supervision of the one-worker-per-shard fleet (``replicas=1``),
+    which the :class:`ReplicaPool` runs like any other replica count."""
+
     def test_crash_restart_is_warm_and_exact(self, tmp_path):
         g, tree = integer_workload(10, seed=1)
         oracle = ShortestPathOracle.build(g, tree)
@@ -94,59 +97,65 @@ class TestFleetSupervision:
         srcs = list(range(0, g.n, 9))
         want = oracle.distances(srcs)
         with ShardRouter(g, tree, cfg, k=2, backend="process") as router:
-            fleet = router._fleet
+            pool = router._fleet
+            assert isinstance(pool, ReplicaPool)
             assert np.array_equal(router.query(srcs), want)
-            victim = fleet.handles[0]
+            victim = pool.replicas[0][0]
             old_pid = victim.pid
             victim.send_request("crash")  # worker os._exit(1)s, no cleanup
             victim.process.join(10)
             assert not victim.alive
             # next batch detects the corpse, restarts, answers exactly
             assert np.array_equal(router.query(srcs), want)
-            assert fleet.restarts_total == 1
+            assert pool.restarts_total == 1
             assert victim.pid != old_pid
             # respawn was warm: the shard augmentation came from the store
             assert victim.ready_info["cache_status"] == "hit"
             stats = router.stats()
-            assert stats["shards"][0]["restarts"] == 1
+            assert stats["restarts_total"] == 1
+            assert stats["per_shard"][0]["workers"][0]["restarts"] == 1
 
     def test_health_check_restarts_dead_worker(self):
         g, tree = integer_workload(8, seed=2)
         with ShardRouter(g, tree, k=2, backend="process") as router:
-            fleet = router._fleet
-            fleet.handles[1].kill()
-            report = fleet.health_check()
-            assert report["restarted"] == [1]
-            assert fleet.handles[1].alive
+            pool = router._fleet
+            pool.replicas[1][0].kill()
+            report = router.health_check()
+            assert report["restarted"] == [(1, 0)]
+            assert pool.replicas[1][0].alive
 
     def test_stats_not_blocked_by_crashed_worker(self):
-        """Regression (satellite): ``stats`` on a fleet with a dead worker
-        returns immediately with last-known counters + ``stale: true``
-        instead of blocking on the corpse's pipe — and never restarts."""
+        """Regression: ``stats`` on a fleet with a dead worker returns
+        immediately with last-known counters + ``stale: true`` instead of
+        blocking on the corpse's pipe — and never restarts."""
         g, tree = integer_workload(8, seed=10)
+
+        def workers(snap):
+            return [w for s in snap["per_shard"] for w in s["workers"]]
+
         with ShardRouter(g, tree, k=2, backend="process") as router:
-            fleet = router._fleet
+            pool = router._fleet
             router.query([0, 3])
-            live = fleet.stats()
-            assert [s["stale"] for s in live] == [False, False]
-            assert all("queue_depth" in s for s in live)
-            fleet.handles[0].kill()
+            live = workers(pool.stats())
+            assert [w["stale"] for w in live] == [False, False]
+            assert all("queue_depth" in w for w in live)
+            pool.replicas[0][0].kill()
             t0 = time.perf_counter()
-            snap = fleet.stats()
+            snap = workers(pool.stats())
             elapsed = time.perf_counter() - t0
             assert elapsed < 5.0, f"stats blocked {elapsed:.1f}s on dead worker"
             assert snap[0]["stale"] is True
             assert snap[1]["stale"] is False
             # last-known engine counters survive from the earlier probe
             assert snap[0]["rows"] == live[0]["rows"]
-            assert fleet.restarts_total == 0  # stats must never restart
+            assert pool.restarts_total == 0  # stats must never restart
             # the canonical router schema carries the marker through
             rstats = router.stats()
             for key in SERVING_STATS_KEYS:
                 assert key in rstats, key
-            assert rstats["per_shard"][0]["stale"] is True
+            assert rstats["per_shard"][0]["workers"][0]["stale"] is True
             # restore for a clean drain (health_check owns restarts)
-            assert fleet.health_check()["restarted"] == [0]
+            assert pool.health_check()["restarted"] == [(0, 0)]
 
     def test_pinning_smoke(self):
         g, tree = integer_workload(8, seed=3)
@@ -154,8 +163,23 @@ class TestFleetSupervision:
         with ShardRouter(g, tree, k=2, backend="process", pin=True) as router:
             oracle = ShortestPathOracle.build(g, tree)
             assert np.array_equal(router.query([0, 5]), oracle.distances([0, 5]))
-            for i, shard_stats in enumerate(router.stats()["shards"]):
-                assert shard_stats["pinned_cpu"] == cpus[i % len(cpus)]
+            for i, shard_stats in enumerate(router.stats()["per_shard"]):
+                (worker,) = shard_stats["workers"]
+                assert worker["pinned_cpu"] == cpus[i % len(cpus)]
+
+    def test_replica_pinning_round_robin(self):
+        """With replicas, every worker reports the CPU it was pinned to,
+        assigned round-robin over the affinity mask across all workers
+        (shard 0's replicas first, then shard 1's)."""
+        g, tree = integer_workload(8, seed=3)
+        cpus = sorted(os.sched_getaffinity(0))
+        cfg = OracleConfig(replicas=2)
+        with ShardRouter(g, tree, cfg, k=2, backend="process", pin=True) as router:
+            oracle = ShortestPathOracle.build(g, tree)
+            assert np.array_equal(router.query([0, 5]), oracle.distances([0, 5]))
+            per_shard = router.stats()["per_shard"]
+        pinned = [w["pinned_cpu"] for s in per_shard for w in s["workers"]]
+        assert pinned == [cpus[i % len(cpus)] for i in range(4)]
 
 
 class TestReplicaPool:
@@ -226,7 +250,8 @@ class TestReplicaPool:
         rng = np.random.default_rng(replicas)
         cfg = OracleConfig(replicas=replicas)
         with ShardRouter(g, tree, cfg, k=2, backend="process") as router:
-            assert isinstance(router._fleet, ReplicaPool) == (replicas > 1)
+            assert isinstance(router._fleet, ReplicaPool)
+            assert [len(grp) for grp in router._fleet.replicas] == [replicas] * 2
             home = router.plan.home
             hot = np.flatnonzero(home == 0)
             cold = np.flatnonzero(home != 0)
@@ -369,7 +394,7 @@ class TestServedFleet:
                 stats = client.stats()
                 assert stats["engine"]["engine"] == "sharded"
                 assert stats["engine"]["workers"] == 2
-                assert len(stats["engine"]["shards"]) == 2
+                assert len(stats["engine"]["per_shard"]) == 2
                 assert stats["engine"]["last_batch"]["rows"] == len(srcs)
         finally:
             loop.call_soon_threadsafe(server.request_shutdown)
