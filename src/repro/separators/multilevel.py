@@ -136,7 +136,8 @@ def _weighted_fiedler_bisect(level: _Level, rng: np.random.Generator) -> np.ndar
         else:
             from scipy.sparse.linalg import eigsh
 
-            _, vecs = eigsh(lap, k=2, sigma=-1e-4, which="LM", maxiter=5000)
+            v0 = rng.standard_normal(n)
+            _, vecs = eigsh(lap, k=2, sigma=-1e-4, which="LM", maxiter=5000, v0=v0)
             fied = vecs[:, 1]
     except Exception:  # pragma: no cover - solver hiccup
         fied = rng.standard_normal(n)
