@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["WeightedDigraph", "CSRAdjacency"]
+__all__ = ["WeightedDigraph", "CSRAdjacency", "SeparatedComponents", "component_labels"]
 
 
 @dataclass(frozen=True)
@@ -60,6 +60,44 @@ def _build_csr(n: int, src: np.ndarray, dst: np.ndarray, weight: np.ndarray) -> 
     )
 
 
+def component_labels(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[int, np.ndarray]:
+    """Connected components of the undirected graph on ``0..n-1`` with edges
+    ``src[i] – dst[i]``: ``(count, labels)``, as
+    ``scipy.sparse.csgraph.connected_components(..., directed=False)``
+    returns them — components are numbered in order of their lowest vertex,
+    and a vertex without edges is a component of its own.
+
+    The CSR matrix is built straight from a stable argsort by ``src`` (no
+    COO round trip); duplicates and self loops are harmless to a traversal.
+    """
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
+
+    itype = np.int32 if max(n, src.shape[0]) < np.iinfo(np.int32).max else np.int64
+    order = np.argsort(src, kind="stable")
+    indptr = np.zeros(n + 1, dtype=itype)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    adj = sp.csr_matrix(
+        (np.ones(order.shape[0]), dst[order].astype(itype), indptr), shape=(n, n)
+    )
+    ncomp, labels = connected_components(adj, directed=False)
+    return int(ncomp), labels
+
+
+@dataclass(frozen=True)
+class SeparatedComponents:
+    """Connected components of the skeleton with some vertices removed: the
+    kept vertices ``rest`` (sorted), their component labels ``rest_labels``,
+    and the distinct labels ``ids`` with their sizes ``counts``.  Labels are
+    :func:`component_labels`' (numbered by lowest vertex), so ``ids`` is in
+    that order.  The arrays are read-only: the graph hands them out again."""
+
+    rest: np.ndarray
+    rest_labels: np.ndarray
+    ids: np.ndarray
+    counts: np.ndarray
+
+
 class WeightedDigraph:
     """A weighted digraph ``G = (V, E)`` with real edge weights.
 
@@ -73,7 +111,7 @@ class WeightedDigraph:
         Float array of length ``m``; ``None`` means unit weights.
     """
 
-    __slots__ = ("n", "src", "dst", "weight", "_out", "_in", "_skeleton")
+    __slots__ = ("n", "src", "dst", "weight", "_out", "_in", "_skeleton", "_separated")
 
     def __init__(
         self,
@@ -103,6 +141,7 @@ class WeightedDigraph:
         self._out: CSRAdjacency | None = None
         self._in: CSRAdjacency | None = None
         self._skeleton: CSRAdjacency | None = None
+        self._separated: tuple[bytes, SeparatedComponents] | None = None
 
     # ------------------------------------------------------------------ #
     # Constructors
@@ -199,6 +238,31 @@ class WeightedDigraph:
             w = np.ones(s.shape[0], dtype=np.float64)
             self._skeleton = _build_csr(self.n, s, d, w)
         return self._skeleton
+
+    def components_without(self, removed: np.ndarray) -> SeparatedComponents:
+        """Connected components of the skeleton once the vertices
+        ``removed`` (a separator) are deleted.
+
+        The last answer is kept: a separator oracle's final check, the
+        progress check and the tree builder's split all ask about the same
+        separator of the same subgraph, and it is labelled once."""
+        sep = np.asarray(removed, dtype=np.int64)
+        key = sep.tobytes()
+        last = self._separated
+        if last is not None and last[0] == key:
+            return last[1]
+        keep = np.ones(self.n, dtype=bool)
+        keep[sep] = False
+        rest = np.nonzero(keep)[0]
+        mask = keep[self.src] & keep[self.dst]
+        _, labels = component_labels(self.n, self.src[mask], self.dst[mask])
+        rest_labels = labels[rest]
+        ids, counts = np.unique(rest_labels, return_counts=True)
+        for a in (rest, rest_labels, ids, counts):
+            a.setflags(write=False)
+        out = SeparatedComponents(rest, rest_labels, ids, counts)
+        self._separated = (key, out)
+        return out
 
     # ------------------------------------------------------------------ #
     # Subgraphs and views

@@ -287,32 +287,19 @@ def split_components(
     Raises :class:`DecompositionError` when ``S`` leaves a single component
     covering everything (the oracle made no progress).
     """
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import connected_components
-
-    n = sub.n
-    keep = np.ones(n, dtype=bool)
-    keep[local_separator] = False
-    rest = np.nonzero(keep)[0]
+    comps = sub.components_without(local_separator)
+    rest = comps.rest
     if rest.size == 0:
-        return rest, rest.copy()
-    mask = keep[sub.src] & keep[sub.dst]
-    adj = sp.csr_matrix(
-        (np.ones(int(mask.sum())), (sub.src[mask], sub.dst[mask])), shape=(n, n)
-    )
-    ncomp, labels = connected_components(adj, directed=False)
-    comp_of_rest = labels[rest]
-    comp_ids, counts = np.unique(comp_of_rest, return_counts=True)
-    if comp_ids.shape[0] == 1 and local_separator.size == 0:
+        return rest.copy(), rest.copy()
+    if comps.ids.shape[0] == 1 and local_separator.size == 0:
         raise DecompositionError("empty separator on a connected subgraph")
-    order = np.argsort(counts)[::-1]
-    side = {}
+    side = np.zeros(comps.ids.shape[0], dtype=np.int8)
     load = [0, 0]
-    for ci in order:
+    for ci in np.argsort(comps.counts)[::-1].tolist():
         pick = 0 if load[0] <= load[1] else 1
-        side[comp_ids[ci]] = pick
-        load[pick] += int(counts[ci])
-    which = np.array([side[c] for c in comp_of_rest])
+        side[ci] = pick
+        load[pick] += int(comps.counts[ci])
+    which = side[np.searchsorted(comps.ids, comps.rest_labels)]
     return rest[which == 0], rest[which == 1]
 
 

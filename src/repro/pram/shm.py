@@ -129,16 +129,30 @@ def as_array(ref: ArrayRef) -> np.ndarray:
 
 def resolve(obj: Any) -> Any:
     """Recursively replace every :class:`ArrayRef` in ``obj`` (dicts, lists,
-    tuples) with its shared-memory view; everything else passes through."""
-    if isinstance(obj, ArrayRef):
-        return as_array(obj)
-    if isinstance(obj, dict):
-        return {k: resolve(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [resolve(v) for v in obj]
-    if isinstance(obj, tuple):
-        return tuple(resolve(v) for v in obj)
-    return obj
+    tuples) with its shared-memory view; everything else passes through.
+
+    A container that occurs more than once in ``obj`` (pickle preserves such
+    sharing, e.g. the repeated phases of a query spec) resolves to one
+    shared copy, so identity-keyed consumers still see the repeats."""
+    memo: dict[int, Any] = {}
+
+    def walk(o: Any) -> Any:
+        if isinstance(o, ArrayRef):
+            return as_array(o)
+        if not isinstance(o, (dict, list, tuple)):
+            return o
+        out = memo.get(id(o))
+        if out is None:
+            if isinstance(o, dict):
+                out = {k: walk(v) for k, v in o.items()}
+            elif isinstance(o, list):
+                out = [walk(v) for v in o]
+            else:
+                out = tuple(walk(v) for v in o)
+            memo[id(o)] = out
+        return out
+
+    return walk(obj)
 
 
 def _unlink_segments(segments: list[shared_memory.SharedMemory]) -> None:

@@ -5,25 +5,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.digraph import WeightedDigraph
+from ..core.digraph import WeightedDigraph, component_labels
 
-__all__ = ["bfs_levels", "largest_component", "connected_component_labels"]
-
-
-def connected_component_labels(g: WeightedDigraph) -> tuple[int, np.ndarray]:
-    """Connected components of the undirected skeleton."""
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import connected_components
-
-    adj = sp.csr_matrix(
-        (np.ones(g.m), (g.src, g.dst)), shape=(g.n, g.n)
-    )
-    return connected_components(adj, directed=False)
+__all__ = ["bfs_levels", "largest_component"]
 
 
 def largest_component(g: WeightedDigraph) -> np.ndarray:
     """Vertex ids of the largest undirected component."""
-    ncomp, labels = connected_component_labels(g)
+    ncomp, labels = component_labels(g.n, g.src, g.dst)
     if ncomp <= 1:
         return np.arange(g.n)
     counts = np.bincount(labels)

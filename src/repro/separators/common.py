@@ -20,9 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from ..core.digraph import WeightedDigraph
+from ..core.digraph import WeightedDigraph, component_labels
 from ..core.septree import DecompositionError, InseparableSubgraph, SeparatorFn
-from .bfs_levels import connected_component_labels
 
 __all__ = [
     "BALANCE",
@@ -39,22 +38,10 @@ BALANCE = 2.0 / 3.0
 
 def rest_components(sub: WeightedDigraph, sep_local: np.ndarray) -> tuple[int, int]:
     """``(number of components, largest component size)`` of ``sub ∖ S``."""
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import connected_components
-
-    keep = np.ones(sub.n, dtype=bool)
-    keep[sep_local] = False
-    rest = np.nonzero(keep)[0]
-    if rest.size == 0:
+    comps = sub.components_without(sep_local)
+    if comps.ids.size == 0:
         return 0, 0
-    mask = keep[sub.src] & keep[sub.dst]
-    adj = sp.csr_matrix(
-        (np.ones(int(mask.sum())), (sub.src[mask], sub.dst[mask])), shape=(sub.n, sub.n)
-    )
-    _, labels = connected_components(adj, directed=False)
-    counts = np.bincount(labels[rest])
-    counts = counts[counts > 0]
-    return int(counts.shape[0]), int(counts.max())
+    return int(comps.ids.shape[0]), int(comps.counts.max())
 
 
 def has_two_sides(sub: WeightedDigraph, sep_local: np.ndarray) -> bool:
@@ -101,7 +88,7 @@ def component_aware(core: Callable[[WeightedDigraph, np.ndarray], np.ndarray]) -
     """
 
     def fn(sub: WeightedDigraph, global_vertices: np.ndarray) -> np.ndarray:
-        ncomp, labels = connected_component_labels(sub)
+        ncomp, labels = component_labels(sub.n, sub.src, sub.dst)
         counts = np.bincount(labels, minlength=ncomp)
         big = int(np.argmax(counts))
         if ncomp > 1 and counts[big] <= BALANCE * sub.n:

@@ -4,7 +4,7 @@ Proposition 2.1 invariants, and failure modes."""
 import numpy as np
 import pytest
 
-from repro.core.digraph import WeightedDigraph
+from repro.core.digraph import WeightedDigraph, component_labels
 from repro.core.septree import (
     DecompositionError,
     SeparatorTree,
@@ -184,6 +184,95 @@ class TestSplitComponents:
         g = WeightedDigraph(4, [0, 2], [1, 3], [1, 1])  # two components
         v1, v2 = split_components(g, np.empty(0, dtype=np.int64))
         assert v1.size == 2 and v2.size == 2
+
+
+def _messy_graph(rng, n):
+    """Random multigraph with duplicate edges, self loops and (usually)
+    isolated vertices, plus a random vertex subset to remove."""
+    m = int(rng.integers(0, 2 * n))
+    src = rng.integers(0, n, m)
+    dst = rng.integers(0, n, m)
+    dup = rng.integers(0, max(m, 1), m // 4)
+    loops = rng.integers(0, n, 3)
+    src = np.concatenate([src, src[dup], loops])
+    dst = np.concatenate([dst, dst[dup], loops])
+    sep = np.unique(rng.integers(0, n, int(rng.integers(0, n // 3 + 1))))
+    return WeightedDigraph(n, src, dst), sep
+
+
+def _scipy_labels(n, src, dst):
+    """The COO-built reference the shared labeller replaced."""
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
+
+    adj = sp.coo_matrix((np.ones(src.shape[0]), (src, dst)), shape=(n, n)).tocsr()
+    return connected_components(adj, directed=False)
+
+
+def _reference_split(sub, sep):
+    """``split_components`` as written before the shared labeller."""
+    keep = np.ones(sub.n, dtype=bool)
+    keep[sep] = False
+    rest = np.nonzero(keep)[0]
+    if rest.size == 0:
+        return rest, rest.copy()
+    mask = keep[sub.src] & keep[sub.dst]
+    _, labels = _scipy_labels(sub.n, sub.src[mask], sub.dst[mask])
+    comp_of_rest = labels[rest]
+    comp_ids, counts = np.unique(comp_of_rest, return_counts=True)
+    order = np.argsort(counts)[::-1]
+    side, load = {}, [0, 0]
+    for ci in order:
+        pick = 0 if load[0] <= load[1] else 1
+        side[comp_ids[ci]] = pick
+        load[pick] += int(counts[ci])
+    which = np.array([side[c] for c in comp_of_rest])
+    return rest[which == 0], rest[which == 1]
+
+
+class TestComponentLabels:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_scipy_on_messy_graphs(self, seed):
+        rng = np.random.default_rng(seed)
+        g, sep = _messy_graph(rng, int(rng.integers(1, 60)))
+        want_n, want = _scipy_labels(g.n, g.src, g.dst)
+        got_n, got = component_labels(g.n, g.src, g.dst)
+        assert got_n == want_n and np.array_equal(got, want)
+        keep = np.ones(g.n, dtype=bool)
+        keep[sep] = False
+        mask = keep[g.src] & keep[g.dst]
+        want_n, want = _scipy_labels(g.n, g.src[mask], g.dst[mask])
+        got_n, got = component_labels(g.n, g.src[mask], g.dst[mask])
+        assert got_n == want_n and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_split_matches_reference(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        g, sep = _messy_graph(rng, int(rng.integers(2, 60)))
+        if sep.size == 0 and component_labels(g.n, g.src, g.dst)[0] == 1:
+            with pytest.raises(DecompositionError):
+                split_components(g, sep)
+            return
+        want = _reference_split(g, sep)
+        got = split_components(g, sep)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def test_no_vertices(self):
+        ncomp, labels = component_labels(0, np.empty(0, np.int64), np.empty(0, np.int64))
+        assert ncomp == 0 and labels.shape == (0,)
+
+    def test_components_without_keeps_the_last_answer_per_graph(self):
+        g = grid_digraph((4, 4), None)
+        sep = np.array([1, 5, 9, 13])
+        first = g.components_without(sep)
+        assert g.components_without(sep.copy()) is first
+        assert g.components_without(sep[:2]) is not first
+        twin = WeightedDigraph(g.n, g.src, g.dst)
+        again = twin.components_without(sep)
+        assert again is not first
+        assert np.array_equal(again.rest_labels, first.rest_labels)
+        assert first.ids.tolist() == [0, 2] and first.counts.tolist() == [4, 8]
+        assert not first.rest_labels.flags.writeable
 
 
 class TestGridOracle:

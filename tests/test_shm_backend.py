@@ -8,6 +8,8 @@ Pool-spawning tests carry the ``multiproc`` marker; the default fast lane
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,40 @@ class TestShmArena:
             assert out["nested"][0][1] == 1
             assert np.array_equal(out["nested"][1]["y"], a)
             assert out["z"] == "s"
+
+    def test_resolve_keeps_shared_containers_shared(self):
+        with ShmArena() as arena:
+            d = {"x": arena.publish(np.arange(3.0))}
+            out = resolve(pickle.loads(pickle.dumps({"phases": [d, d, {"x": d["x"]}]})))
+            first, again, other = out["phases"]
+            assert first is again and other is not first
+            assert np.array_equal(other["x"], first["x"])
+
+    def test_repeated_phases_give_repeated_relaxers_after_the_wire(self, grid6_negative):
+        # The spec shm workers receive: each distinct relaxer published once,
+        # repeated (prefix/suffix) phases sharing one dict.
+        from repro.core.api import ShortestPathOracle
+        from repro.core.query import _ENGINE_CACHE, QueryEngine, _shard_relaxers
+
+        g, tree = grid6_negative
+        aug = ShortestPathOracle.build(g, tree).augmentation
+        relaxers = aug.schedule().relaxers
+        with ShmArena() as arena:
+            phases = QueryEngine._dedup_phases(
+                relaxers, lambda r: {k: arena.publish(v) for k, v in r.compiled().items()}
+            )
+            distinct = len({id(ph) for ph in phases})
+            assert distinct < len(phases)  # the workload does repeat phases
+            spec = {
+                "token": "test-repeated-phases",
+                "semiring": aug.semiring.name,
+                "kernel": aug.kernel,
+                "phases": phases,
+            }
+            got = _shard_relaxers(resolve(pickle.loads(pickle.dumps(spec))))
+            _ENGINE_CACHE.pop(spec["token"])
+            assert len(got) == len(phases)
+            assert len({id(r) for r in got}) == distinct
 
     def test_close_is_idempotent_and_unlinks(self):
         arena = ShmArena()
