@@ -22,6 +22,7 @@ from typing import Callable
 
 import numpy as np
 
+from ..pram.executor import parse_spec
 from ..pram.machine import Ledger
 from .augment import Augmentation
 from .config import UNSET, OracleConfig, resolve_config
@@ -56,7 +57,7 @@ def _resolve_tree(
 def _is_shm_spec(executor) -> bool:
     """Whether an executor spec names the shared-memory backend (the case
     where a cache hit warm-starts an arena for the loaded edge arrays)."""
-    return isinstance(executor, str) and (executor == "shm" or executor.startswith("shm:"))
+    return isinstance(executor, str) and parse_spec(executor)[0] == "shm"
 
 
 class ShortestPathOracle:

@@ -16,8 +16,9 @@ The three historically overloaded knob names keep their meaning everywhere
     ``"naive"`` (full-edge Bellman–Ford to convergence).
 ``executor``
     *Hardware backend* running independent work:
-    ``"serial" | "thread[:N]" | "process[:N]" | "shm[:N]"`` (or an
-    executor instance) per :func:`repro.pram.executor.get_executor`.
+    ``"serial" | "thread[:N]" | "shm[:N]"`` (or an executor instance) per
+    :func:`repro.pram.executor.get_executor`; a spec string is checked
+    against this grammar when the config is made.
 ``kernel``
     *Min-plus inner-loop implementation* used by preprocessing products
     and relaxation phases: ``None``/``"auto" | "reference" | "blocked" |
@@ -41,6 +42,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from ..pram.executor import parse_spec
 from .semiring import MIN_PLUS, SEMIRINGS, Semiring
 
 __all__ = ["OracleConfig", "UNSET", "resolve_config"]
@@ -259,6 +261,8 @@ class OracleConfig:
             raise ValueError(
                 f"approx_gate must be in [0, 1], got {self.approx_gate!r}"
             )
+        if isinstance(self.executor, str):
+            parse_spec(self.executor)
         if self.engine not in _ENGINES:
             raise ValueError(f"engine must be one of {_ENGINES}, got {self.engine!r}")
         if self.kernel not in _KERNELS:

@@ -27,7 +27,7 @@ import numpy as np
 
 from ..kernels.minplus import semiring_matmul
 from ..pram.machine import NULL_LEDGER, Ledger
-from ..pram.executor import SerialExecutor, get_executor
+from ..pram.executor import run_with_arena
 from .augment import (
     Augmentation,
     NegativeCycleDetected,
@@ -45,9 +45,8 @@ __all__ = ["augment_doubling"]
 def _square_worker(payload: dict[str, Any]) -> dict[str, Any]:
     """One doubling step on one node's matrix (module level for pickling).
 
-    With ``inplace`` set the matrix is a shared-memory view owned solely by
-    this node: the squared result is written back through it and the reply
-    carries only scalars (the shm backend's zero-copy round).
+    The matrix is an arena block owned solely by this node: the squared
+    result is written back through it and the reply carries only scalars.
     """
     semiring = SEMIRINGS[payload["semiring"]]
     ledger = Ledger()
@@ -55,17 +54,13 @@ def _square_worker(payload: dict[str, Any]) -> dict[str, Any]:
     prod = semiring_matmul(w, w, semiring, ledger=ledger, kernel=payload.get("kernel"))
     new = semiring.add(w, prod)
     changed = bool(semiring.improves(new, w).any())
-    out = {
+    w[...] = new
+    return {
         "idx": payload["idx"],
         "changed": changed,
         "work": ledger.work,
         "depth": ledger.depth,
     }
-    if payload.get("inplace"):
-        w[...] = new
-    else:
-        out["matrix"] = new
-    return out
 
 
 def augment_doubling(
@@ -86,60 +81,37 @@ def augment_doubling(
     rounds (see :mod:`repro.kernels.dispatch`); the ``pruned`` kernel skips
     the all-+inf panels that dominate early rounds.
 
-    On the ``shm`` backend every node matrix is a shared-memory block:
-    rounds send (idx, descriptor) pairs, workers square their block in
-    place, and the orchestrator's child→parent merges mutate the same
-    pages — matrices cross the process boundary zero times.
+    Every node matrix is a block of the executor's arena: rounds send
+    (idx, handle) pairs, workers square their block in place, and the
+    orchestrator's child→parent merges mutate the same memory — on ``shm``
+    matrices cross the process boundary zero times.
     """
-    exe = get_executor(executor)
-    owns_executor = isinstance(executor, str) and not isinstance(exe, SerialExecutor)
-    use_shm = getattr(exe, "uses_shared_memory", False)
-    arena = None
-    if use_shm:
-        from ..pram.shm import ShmArena
-
-        arena = ShmArena()
     matrices: dict[int, np.ndarray] = {}
     mat_refs: dict[int, Any] = {}
     vh_of: dict[int, np.ndarray] = {}
     leaf_results: dict[int, NodeDistances] = {}
     leaf_diameters: dict[int, int] = {}
-    try:
+    with run_with_arena(executor) as (exe, arena):
         _initialize(
-            graph, tree, semiring, exe, ledger,
-            matrices, vh_of, leaf_results, leaf_diameters,
-            arena=arena, mat_refs=mat_refs,
+            graph, tree, semiring, exe, arena, ledger,
+            matrices, mat_refs, vh_of, leaf_results, leaf_diameters,
         )
         rounds = 2 * max(1, int(np.ceil(np.log2(max(2, graph.n))))) + 2 * tree.height
-        internal = [t for t in tree.nodes if not t.is_leaf]
+        payloads = [
+            {
+                "idx": t.idx,
+                "semiring": semiring.name,
+                "kernel": kernel,
+                "matrix": mat_refs[t.idx],
+            }
+            for t in tree.nodes
+            if not t.is_leaf
+        ]
         for _ in range(rounds):
-            if use_shm:
-                payloads = [
-                    {
-                        "idx": t.idx,
-                        "semiring": semiring.name,
-                        "kernel": kernel,
-                        "matrix": mat_refs[t.idx],
-                        "inplace": True,
-                    }
-                    for t in internal
-                ]
-            else:
-                payloads = [
-                    {
-                        "idx": t.idx,
-                        "semiring": semiring.name,
-                        "kernel": kernel,
-                        "matrix": matrices[t.idx],
-                    }
-                    for t in internal
-                ]
             outs = exe.map(_square_worker, payloads)
             changed = False
             branches = []
             for out in outs:
-                if "matrix" in out:
-                    matrices[out["idx"]] = out["matrix"]
                 changed |= out["changed"]
                 b = Ledger()
                 b.charge(out["work"], out["depth"], label="node")
@@ -159,9 +131,8 @@ def augment_doubling(
             if bad >= 0 and raise_on_negative_cycle and semiring.name in ("min-plus", "hops"):
                 raise NegativeCycleDetected(t.idx, bad)
             results[t.idx] = NodeDistances(node_idx=t.idx, vertices=vh_of[t.idx], matrix=m)
-        if use_shm and keep_node_distances:
-            # The arena dies with this call; surviving matrices need to own
-            # their memory.
+        if keep_node_distances:
+            # Surviving matrices own their memory, not the arena's.
             for nd in results.values():
                 nd.matrix = np.array(nd.matrix, copy=True)
         return assemble_augmentation(
@@ -174,11 +145,6 @@ def augment_doubling(
             keep_node_distances=keep_node_distances,
             ledger=ledger,
         )
-    finally:
-        if arena is not None:
-            arena.close()
-        if owns_executor:
-            exe.close()
 
 
 def _initialize(
@@ -186,39 +152,30 @@ def _initialize(
     tree: SeparatorTree,
     semiring: Semiring,
     exe,
+    arena,
     ledger: Ledger,
     matrices: dict[int, np.ndarray],
+    mat_refs: dict[int, Any],
     vh_of: dict[int, np.ndarray],
     leaf_results: dict[int, NodeDistances],
     leaf_diameters: dict[int, int],
-    *,
-    arena=None,
-    mat_refs: dict[int, Any] | None = None,
 ) -> None:
-    """Step (i): leaf APSPs (in parallel) and internal one-hop matrices.
-
-    With an arena, internal matrices are allocated as shared blocks (filled
-    in place here) and leaf payloads/results travel as descriptors."""
+    """Step (i): leaf APSPs (in parallel) and internal one-hop matrices,
+    every matrix an arena block (internal ones filled in place here)."""
     leaf_payloads = []
-    leaf_views: dict[int, np.ndarray] = {}
-    leaf_verts: dict[int, np.ndarray] = {}
+    leaf_blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for t in tree.nodes:
         if t.is_leaf:
             payload, mapping, out_view = _leaf_payload(graph, t, semiring, arena)
             leaf_payloads.append(payload)
-            if arena is not None:
-                leaf_views[t.idx] = out_view
-                leaf_verts[t.idx] = mapping
+            leaf_blocks[t.idx] = (mapping, out_view)
         else:
             vh = np.union1d(t.separator, t.boundary)
             vh_of[t.idx] = vh
             h = vh.shape[0]
-            if arena is None:
-                w = semiring.empty_matrix(h, h)
-            else:
-                ref, w = arena.alloc((h, h), semiring.dtype)
-                mat_refs[t.idx] = ref
-                w[...] = semiring.zero
+            ref, w = arena.alloc((h, h), semiring.dtype)
+            mat_refs[t.idx] = ref
+            w[...] = semiring.zero
             np.fill_diagonal(w, semiring.one)
             # One-hop weights of original edges with both endpoints in V_H(t).
             member = np.zeros(graph.n, dtype=bool)
@@ -239,11 +196,8 @@ def _initialize(
         if out["neg_vertex"] >= 0 and semiring.name in ("min-plus", "hops"):
             raise NegativeCycleDetected(out["idx"], out["neg_vertex"])
         idx = out["idx"]
-        leaf_results[idx] = NodeDistances(
-            node_idx=idx,
-            vertices=leaf_verts[idx] if arena is not None else out["vertices"],
-            matrix=leaf_views[idx] if arena is not None else out["matrix"],
-        )
+        vertices, matrix = leaf_blocks[idx]
+        leaf_results[idx] = NodeDistances(node_idx=idx, vertices=vertices, matrix=matrix)
         leaf_diameters[idx] = out["leaf_diameter"]
         b = Ledger()
         b.charge(out["work"], out["depth"], label="node")

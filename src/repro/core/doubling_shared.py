@@ -26,45 +26,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from typing import Any
-
 from ..kernels.minplus import semiring_matmul
-from ..pram.executor import SerialExecutor, get_executor
+from ..pram.executor import run_with_arena
 from ..pram.machine import NULL_LEDGER, Ledger, log2ceil
 from .augment import Augmentation, NegativeCycleDetected, NodeDistances, assemble_augmentation
 from .digraph import WeightedDigraph
 from .leaves_up import _leaf_payload, _leaf_worker
-from .semiring import MIN_PLUS, SEMIRINGS, Semiring
+from .semiring import MIN_PLUS, Semiring
 from .septree import SeparatorTree
 
 __all__ = ["augment_doubling_shared", "SharedEdgeTable"]
-
-
-def _shared_square_worker(payload: dict[str, Any]) -> dict[str, Any]:
-    """One node's gather → square step of a Remark-4.4 round, against the
-    *shared* weight vector (module level for pickling).
-
-    Shared-memory protocol: ``weights`` and ``block`` (the node's index
-    matrix into the weight vector) are descriptor-resolved views; the
-    min-plus square of the gathered block is written to the node's private
-    ``scratch`` block and the orchestrator ⊕-scatters every improved
-    scratch back into the weights between rounds, so concurrent workers
-    only ever read the shared vector."""
-    sr = SEMIRINGS[payload["semiring"]]
-    ledger = Ledger()
-    weights = payload["weights"]
-    idx_matrix = payload["block"]
-    block = weights[idx_matrix]
-    prod = semiring_matmul(block, block, sr, ledger=ledger, kernel=payload.get("kernel"))
-    changed = bool(sr.improves(prod, block).any())
-    if changed:
-        payload["scratch"][...] = prod
-    return {
-        "idx": payload["idx"],
-        "changed": changed,
-        "work": ledger.work,
-        "depth": ledger.depth,
-    }
 
 
 class SharedEdgeTable:
@@ -186,46 +157,30 @@ def augment_doubling_shared(
     (they converge to ``min_t dist_{G(t)}``, bounded below by ``dist_G``);
     all Theorem 3.1 guarantees hold unchanged.
 
-    On the ``shm`` backend the shared weight vector lives in a
-    shared-memory block read concurrently by all workers: a round fans the
-    per-node gather→square steps out over the pool (descriptors only) and
-    the orchestrator ⊕-scatters the improved products back — the iteration
-    reaches the same unique fixpoint as the sequential rounds, within the
-    same Proposition 4.5 round bound.  Other executors keep the sequential
-    rounds (a round is read-modify-write on one vector, so thread/process
-    pools without shared pages have nothing to win).
+    The leaf APSPs run on ``executor``; the rounds run in the calling
+    process on every executor, so every executor does the same rounds and
+    charges the same ledger.  A round is read-modify-write on one weight
+    vector: each node's square sees the improvements scattered by the
+    nodes before it, so it converges in no more rounds than squaring all
+    nodes in parallel against the round's starting weights.
     """
-    exe = get_executor(executor)
-    owns_executor = isinstance(executor, str) and not isinstance(exe, SerialExecutor)
-    use_shm = getattr(exe, "uses_shared_memory", False)
-    arena = None
-    if use_shm:
-        from ..pram.shm import ShmArena
-
-        arena = ShmArena()
-    try:
+    with run_with_arena(executor) as (exe, arena):
         table = SharedEdgeTable(graph, tree, semiring)
         # Leaves: exact APSP absorbed once (their boundary blocks seed the
-        # table); on shm the APSPs run on the pool and land in arena blocks.
+        # table).
         leaf_results: dict[int, NodeDistances] = {}
         leaf_diameters: dict[int, int] = {}
-        leaf_payloads, leaf_views, leaf_verts = [], {}, {}
+        leaf_payloads, leaf_blocks = [], {}
         for t in tree.leaves():
             payload, mapping, out_view = _leaf_payload(graph, t, semiring, arena)
             leaf_payloads.append(payload)
-            if arena is not None:
-                leaf_views[t.idx] = out_view
-                leaf_verts[t.idx] = mapping
-        outs = exe.map(_leaf_worker, leaf_payloads) if use_shm else [
-            _leaf_worker(p) for p in leaf_payloads
-        ]
+            leaf_blocks[t.idx] = (mapping, out_view)
         branches = []
-        for out in outs:
+        for out in exe.map(_leaf_worker, leaf_payloads):
             if out["neg_vertex"] >= 0 and semiring.name in ("min-plus", "hops"):
                 raise NegativeCycleDetected(out["idx"], out["neg_vertex"])
             idx = out["idx"]
-            vertices = leaf_verts[idx] if use_shm else out["vertices"]
-            matrix = leaf_views[idx] if use_shm else out["matrix"]
+            vertices, matrix = leaf_blocks[idx]
             leaf_results[idx] = NodeDistances(node_idx=idx, vertices=vertices, matrix=matrix)
             leaf_diameters[idx] = out["leaf_diameter"]
             table.absorb_matrix(idx, vertices, matrix)
@@ -234,12 +189,9 @@ def augment_doubling_shared(
             branches.append(b)
         ledger.merge_parallel(branches, label="shared-init-leaf")
         rounds = 2 * max(1, int(np.ceil(np.log2(max(2, graph.n))))) + 2 * tree.height
-        if use_shm and table.blocks:
-            _parallel_rounds(table, exe, arena, rounds, early_stop, ledger, kernel=kernel)
-        else:
-            for _ in range(rounds):
-                if not table.square_round(ledger=ledger, kernel=kernel) and early_stop:
-                    break
+        for _ in range(rounds):
+            if not table.square_round(ledger=ledger, kernel=kernel) and early_stop:
+                break
         results: dict[int, NodeDistances] = dict(leaf_results)
         for t in tree.nodes:
             if t.is_leaf:
@@ -253,8 +205,8 @@ def augment_doubling_shared(
                 if bad.any() and raise_on_negative_cycle and semiring.name in ("min-plus", "hops"):
                     raise NegativeCycleDetected(t.idx, int(vh[int(np.argmax(bad))]))
             results[t.idx] = NodeDistances(node_idx=t.idx, vertices=vh, matrix=matrix)
-        if use_shm and keep_node_distances:
-            # Leaf matrices are arena views; the arena dies with this call.
+        if keep_node_distances:
+            # Leaf matrices are arena blocks; survivors own their memory.
             for idx in leaf_results:
                 results[idx].matrix = np.array(results[idx].matrix, copy=True)
         return assemble_augmentation(
@@ -267,62 +219,3 @@ def augment_doubling_shared(
             keep_node_distances=keep_node_distances,
             ledger=ledger,
         )
-    finally:
-        if arena is not None:
-            arena.close()
-        if owns_executor:
-            exe.close()
-
-
-def _parallel_rounds(
-    table: SharedEdgeTable,
-    exe,
-    arena,
-    rounds: int,
-    early_stop: bool,
-    ledger: Ledger,
-    *,
-    kernel: str | None = None,
-) -> None:
-    """Run the Remark-4.4 rounds on the shm pool: the weight vector and the
-    per-node index/scratch blocks are published once; each round ships only
-    (idx, descriptor) payloads, workers square against the shared weights,
-    and improved products are ⊕-scattered back between rounds."""
-    sr = table.semiring
-    weights_ref, weights_view = arena.alloc(table.weights.shape, table.weights.dtype)
-    weights_view[...] = table.weights
-    table.weights = weights_view
-    block_refs = {idx: arena.publish(b) for idx, b in table.blocks.items()}
-    scratch: dict[int, tuple] = {
-        idx: arena.alloc(b.shape, sr.dtype) for idx, b in table.blocks.items()
-    }
-    payloads = [
-        {
-            "idx": idx,
-            "semiring": sr.name,
-            "kernel": kernel,
-            "weights": weights_ref,
-            "block": block_refs[idx],
-            "scratch": scratch[idx][0],
-        }
-        for idx in table.blocks
-    ]
-    for _ in range(rounds):
-        outs = exe.map(_shared_square_worker, payloads)
-        changed = False
-        branches = []
-        for out in outs:
-            if out["changed"]:
-                changed = True
-                idx_matrix = table.blocks[out["idx"]]
-                sr.scatter_min(
-                    table.weights, idx_matrix.ravel(), scratch[out["idx"]][1].ravel()
-                )
-            b = Ledger()
-            b.charge(max(1.0, out["work"]), max(1.0, out["depth"]), label="node")
-            branches.append(b)
-        ledger.merge_parallel(branches, label="shared-square")
-        if early_stop and not changed:
-            break
-    # Converged weights must outlive the arena.
-    table.weights = np.array(table.weights, copy=True)

@@ -36,7 +36,7 @@ from ..kernels.bellman_ford import min_weight_diameter
 from ..kernels.floyd_warshall import floyd_warshall, floyd_warshall_with_hops
 from ..kernels.minplus import semiring_matmul
 from ..pram.machine import NULL_LEDGER, Ledger
-from ..pram.executor import SerialExecutor, get_executor
+from ..pram.executor import run_with_arena
 from .augment import (
     Augmentation,
     NegativeCycleDetected,
@@ -71,56 +71,38 @@ def _check_diagonal(matrix: np.ndarray, vertices: np.ndarray, semiring: Semiring
 
 
 # ------------------------------------------------------------------ #
-# Per-node workers (module level so the process backends can pickle them)
+# Per-node workers (module level so the shm backend can pickle them)
 #
-# Two payload styles share these functions: the classic style carries the
-# arrays themselves (serial/thread/process), while the shm style carries
-# ArrayRef descriptors that the ShmExecutor resolves to zero-copy views
-# before dispatch, plus an ``out`` block the worker fills in place so the
-# result matrix is never pickled either (see repro.pram.shm).
+# Payloads carry the handles of the executor's arena (see
+# repro.pram.executor): arrays in-process, ArrayRef descriptors that the
+# ShmExecutor resolves to zero-copy views on shm.  Every worker writes its
+# result matrix into the pre-allocated ``out`` block and returns scalars.
 # ------------------------------------------------------------------ #
 
 
 def _leaf_payload(
-    graph: WeightedDigraph, t, semiring: Semiring, arena=None
-) -> tuple[dict[str, Any], np.ndarray, np.ndarray | None]:
+    graph: WeightedDigraph, t, semiring: Semiring, arena
+) -> tuple[dict[str, Any], np.ndarray, np.ndarray]:
     """Build one leaf task payload; returns ``(payload, vertices, out_view)``.
 
-    With an arena, the subgraph arrays are published as descriptors and an
-    output block for the APSP matrix is pre-allocated (``out_view`` is the
-    orchestrator's view of it); without one, the arrays ride in the payload.
+    The subgraph arrays are published to ``arena`` and an output block for
+    the APSP matrix is allocated there (``out_view`` is the orchestrator's
+    view of it).
     """
     sub, mapping = graph.induced_subgraph(t.vertices)
+    out_ref, out_view = arena.alloc((mapping.shape[0], mapping.shape[0]), semiring.dtype)
     payload: dict[str, Any] = {
         "kind": "leaf",
         "idx": t.idx,
         "semiring": semiring.name,
-        "vertices": mapping,
+        "vertices": arena.publish(mapping),
         "n_local": sub.n,
-        "sub_src": sub.src,
-        "sub_dst": sub.dst,
-        "sub_weight": sub.weight,
+        "sub_src": arena.publish(sub.src),
+        "sub_dst": arena.publish(sub.dst),
+        "sub_weight": arena.publish(sub.weight),
+        "out": out_ref,
     }
-    if arena is None:
-        return payload, mapping, None
-    out_ref, out_view = arena.alloc((mapping.shape[0], mapping.shape[0]), semiring.dtype)
-    payload.update(
-        vertices=arena.publish(mapping),
-        sub_src=arena.publish(sub.src),
-        sub_dst=arena.publish(sub.dst),
-        sub_weight=arena.publish(sub.weight),
-        out=out_ref,
-    )
     return payload, mapping, out_view
-
-
-def _emit(payload: dict[str, Any], out: dict[str, Any]) -> dict[str, Any]:
-    """Return path shared by both payload styles: with an ``out`` block the
-    matrix is written in place and stripped from the (pickled) result."""
-    if "out" in payload:
-        payload["out"][...] = out.pop("matrix")
-        out.pop("vertices", None)
-    return out
 
 
 def _leaf_worker(payload: dict[str, Any]) -> dict[str, Any]:
@@ -141,29 +123,20 @@ def _leaf_worker(payload: dict[str, Any]) -> dict[str, Any]:
         bad = _check_diagonal(apsp, payload["vertices"], semiring)
         finite = np.isfinite(hop_counts)
         diam = 0 if bad >= 0 else int(hop_counts[finite].max(initial=0.0))
-        return _emit(payload, {
-            "idx": payload["idx"],
-            "vertices": payload["vertices"],
-            "matrix": apsp,
-            "leaf_diameter": diam,
-            "neg_vertex": bad,
-            "work": ledger.work,
-            "depth": ledger.depth,
-        })
-    apsp = floyd_warshall(dense, semiring, ledger=ledger, copy=False)
-    bad = _check_diagonal(apsp, payload["vertices"], semiring)
-    diam = 0
-    if bad < 0 and sub.n > 1:
-        diam = min_weight_diameter(sub, semiring=semiring)
-    return _emit(payload, {
+    else:
+        apsp = floyd_warshall(dense, semiring, ledger=ledger, copy=False)
+        bad = _check_diagonal(apsp, payload["vertices"], semiring)
+        diam = 0
+        if bad < 0 and sub.n > 1:
+            diam = min_weight_diameter(sub, semiring=semiring)
+    payload["out"][...] = apsp
+    return {
         "idx": payload["idx"],
-        "vertices": payload["vertices"],
-        "matrix": apsp,
         "leaf_diameter": diam,
         "neg_vertex": bad,
         "work": ledger.work,
         "depth": ledger.depth,
-    })
+    }
 
 
 def _internal_worker(payload: dict[str, Any]) -> dict[str, Any]:
@@ -175,22 +148,18 @@ def _internal_worker(payload: dict[str, Any]) -> dict[str, Any]:
     direct = semiring.empty_matrix(h, h)
     np.fill_diagonal(direct, semiring.one)
     # ⊕-combine each child's distance matrix into the shared positions.
-    # Classic entries are (vertices, matrix) pre-restricted by the
-    # orchestrator; shm entries are (vertices, positions, full-matrix view)
-    # and the certified-boundary restriction happens here, against shared
-    # pages, so the orchestrator never copies child matrices into payloads.
-    for child in payload["children"]:
-        if len(child) == 3:
-            child_vertices, pos, full = child
-            child_matrix = full[np.ix_(pos, pos)]
-        else:
-            child_vertices, child_matrix = child
+    # A child is (boundary vertices, their positions in the child's block,
+    # the child's full block): only the boundary rows/cols are certified,
+    # and the restriction happens here, so the orchestrator never copies
+    # child matrices into payloads.
+    for child_vertices, pos, full in payload["children"]:
         common, pos_vh, pos_child = np.intersect1d(
             vh, child_vertices, assume_unique=True, return_indices=True
         )
         if common.size == 0:
             continue
-        block = child_matrix[np.ix_(pos_child, pos_child)]
+        sel = pos[pos_child]
+        block = full[np.ix_(sel, sel)]
         tgt = direct[np.ix_(pos_vh, pos_vh)]
         direct[np.ix_(pos_vh, pos_vh)] = semiring.add(tgt, block)
     pos_s: np.ndarray = payload["pos_s"]
@@ -207,14 +176,13 @@ def _internal_worker(payload: dict[str, Any]) -> dict[str, Any]:
         matrix[:, pos_s] = semiring.add(matrix[:, pos_s], left)
         matrix[pos_s, :] = semiring.add(matrix[pos_s, :], right)
     bad = _check_diagonal(matrix, vh, semiring)
-    return _emit(payload, {
+    payload["out"][...] = matrix
+    return {
         "idx": payload["idx"],
-        "vertices": vh,
-        "matrix": matrix,
         "neg_vertex": bad,
         "work": ledger.work,
         "depth": ledger.depth,
-    })
+    }
 
 
 # ------------------------------------------------------------------ #
@@ -240,74 +208,47 @@ def augment_leaves_up(
     per-node 3-hop products (see :mod:`repro.kernels.dispatch`); all
     choices are bit-identical.
 
-    On the ``shm`` backend the per-node matrices live in a shared-memory
-    arena: inputs travel as descriptors, workers write their output blocks
-    in place, and internal nodes read their children's blocks directly from
-    shared pages — no matrix is ever pickled.
+    The per-node matrices live in blocks of the executor's arena: workers
+    write their output blocks in place, and internal nodes read their
+    children's blocks directly (from shared pages on ``shm``) — no matrix
+    is ever pickled.
     """
     if semiring.name not in SEMIRINGS:
         raise ValueError("semiring must be one of the registered instances")
-    exe = get_executor(executor)
-    owns_executor = isinstance(executor, str) and not isinstance(exe, SerialExecutor)
-    use_shm = getattr(exe, "uses_shared_memory", False)
-    arena = None
-    if use_shm:
-        from ..pram.shm import ShmArena
-
-        arena = ShmArena()
     results: dict[int, NodeDistances] = {}
     leaf_diameters: dict[int, int] = {}
-    #: node idx -> descriptor of its matrix block (shm path only).
+    #: node idx -> arena handle of its matrix block.
     mat_refs: dict[int, Any] = {}
-    try:
+    with run_with_arena(executor) as (exe, arena):
         for level_nodes in tree.levels_desc():
             payloads = []
-            views: dict[int, np.ndarray] = {}
-            verts: dict[int, np.ndarray] = {}
+            blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
             for t in level_nodes:
                 if t.is_leaf:
-                    payload, mapping, out_view = _leaf_payload(graph, t, semiring, arena)
-                    payloads.append(payload)
-                    if use_shm:
-                        mat_refs[t.idx] = payload["out"]
-                        views[t.idx] = out_view
-                        verts[t.idx] = mapping
+                    payload, vertices, out_view = _leaf_payload(graph, t, semiring, arena)
                 else:
-                    vh = np.union1d(t.separator, t.boundary)
-                    pos_s = np.searchsorted(vh, t.separator)
+                    vertices = np.union1d(t.separator, t.boundary)
+                    pos_s = np.searchsorted(vertices, t.separator)
                     children = []
                     for c in t.children:
-                        nd = results[c]
                         b = tree.nodes[c].boundary
-                        # Only the child's boundary rows/cols are certified;
-                        # the restriction to them happens orchestrator-side
-                        # for array payloads, worker-side (against shared
-                        # pages) for descriptor payloads.
-                        idx = nd.index_of(b)
-                        if use_shm:
-                            children.append(
-                                (arena.publish(b), arena.publish(idx), mat_refs[c])
-                            )
-                        else:
-                            children.append((b, nd.matrix[np.ix_(idx, idx)]))
+                        idx = results[c].index_of(b)
+                        children.append((arena.publish(b), arena.publish(idx), mat_refs[c]))
+                    h = vertices.shape[0]
+                    out_ref, out_view = arena.alloc((h, h), semiring.dtype)
                     payload = {
                         "kind": "internal",
                         "idx": t.idx,
                         "semiring": semiring.name,
                         "kernel": kernel,
-                        "vh": vh,
-                        "pos_s": pos_s,
+                        "vh": arena.publish(vertices),
+                        "pos_s": arena.publish(pos_s),
                         "children": children,
+                        "out": out_ref,
                     }
-                    if use_shm:
-                        out_ref, out_view = arena.alloc((vh.shape[0], vh.shape[0]), semiring.dtype)
-                        payload.update(
-                            vh=arena.publish(vh), pos_s=arena.publish(pos_s), out=out_ref
-                        )
-                        mat_refs[t.idx] = out_ref
-                        views[t.idx] = out_view
-                        verts[t.idx] = vh
-                    payloads.append(payload)
+                mat_refs[t.idx] = payload["out"]
+                blocks[t.idx] = (vertices, out_view)
+                payloads.append(payload)
             outs = exe.map(_dispatch_worker, payloads)
             branch_ledgers = []
             for out in outs:
@@ -315,20 +256,16 @@ def augment_leaves_up(
                     if raise_on_negative_cycle and semiring.name in ("min-plus", "hops"):
                         raise NegativeCycleDetected(out["idx"], out["neg_vertex"])
                 idx = out["idx"]
-                results[idx] = NodeDistances(
-                    node_idx=idx,
-                    vertices=verts[idx] if use_shm else out["vertices"],
-                    matrix=views[idx] if use_shm else out["matrix"],
-                )
+                vertices, matrix = blocks[idx]
+                results[idx] = NodeDistances(node_idx=idx, vertices=vertices, matrix=matrix)
                 if "leaf_diameter" in out:
                     leaf_diameters[idx] = out["leaf_diameter"]
                 b = Ledger()
                 b.charge(out["work"], out["depth"], label="node")
                 branch_ledgers.append(b)
             ledger.merge_parallel(branch_ledgers, label="leaves-up-level")
-        if use_shm and keep_node_distances:
-            # The arena dies with this call; surviving matrices need to own
-            # their memory.
+        if keep_node_distances:
+            # Surviving matrices own their memory, not the arena's.
             for nd in results.values():
                 nd.matrix = np.array(nd.matrix, copy=True)
         return assemble_augmentation(
@@ -341,11 +278,6 @@ def augment_leaves_up(
             keep_node_distances=keep_node_distances,
             ledger=ledger,
         )
-    finally:
-        if arena is not None:
-            arena.close()
-        if owns_executor:
-            exe.close()
 
 
 def _dispatch_worker(payload: dict[str, Any]) -> dict[str, Any]:

@@ -42,7 +42,7 @@ from typing import Any
 import numpy as np
 
 from ..kernels.bellman_ford import EdgeRelaxer, initial_distances, run_phases
-from ..pram.executor import SerialExecutor, ThreadExecutor, get_executor
+from ..pram.executor import get_executor
 from .augment import Augmentation
 from .config import UNSET, OracleConfig, resolve_config
 from .semiring import SEMIRINGS
@@ -87,19 +87,13 @@ def _shard_worker(payload: dict[str, Any]) -> dict[str, Any]:
     """Relax one shard of distance rows to completion (module level for
     pickling).
 
-    The shard is either a view into the shared distance block (``dist`` +
-    row range; results are written in place and not returned) or a pickled
-    row matrix (plain process backend; rows are returned).  ``scheduled``
-    mode runs the one exact §3.2 pass; ``naive`` mode iterates the
-    full-edge relaxer until this shard's rows converge.
+    The shard is a view into the shared distance block (``dist`` + row
+    range); results are written in place.  ``scheduled`` mode runs the one
+    exact §3.2 pass; ``naive`` mode iterates the full-edge relaxer until
+    this shard's rows converge.
     """
     relaxers = _shard_relaxers(payload["engine"])
-    if "dist" in payload:
-        rows = payload["dist"][payload["row_start"] : payload["row_stop"]]
-        shared = True
-    else:
-        rows = payload["rows"]
-        shared = False
+    rows = payload["dist"][payload["row_start"] : payload["row_stop"]]
     block = max(1, int(payload["engine"]["source_block"]))
     phases = 0
     if payload["engine"]["mode"] == "scheduled":
@@ -113,7 +107,7 @@ def _shard_worker(payload: dict[str, Any]) -> dict[str, Any]:
         while active.size and phases < cap:
             active = relaxer.relax_rows(rows, active)
             phases += 1
-    return {"rows": None if shared else rows, "phases": phases}
+    return {"phases": phases}
 
 
 class QueryEngine:
@@ -181,8 +175,7 @@ class QueryEngine:
             SOURCE_BLOCK if config.source_block is None else config.source_block
         )
         self._exe = get_executor(executor)
-        self._owns_exe = isinstance(executor, str) and not isinstance(self._exe, SerialExecutor)
-        self._use_shm = getattr(self._exe, "uses_shared_memory", False)
+        self._owns_exe = self._exe is not executor
         self._closed = False
         # Build-once structures (cached on the augmentation itself), plus
         # the publish-once compiled arrays for cross-process backends — one
@@ -222,10 +215,11 @@ class QueryEngine:
 
     def _compile_generation(self, aug: Augmentation):
         """Build one generation of serving state for ``aug``: relaxers (and
-        schedule), plus — for cross-process backends — a fresh engine token
-        and the published compiled arrays.  On shm the arena's segments are
-        tagged ``g<weights_epoch>`` so ``/dev/shm`` listings (and the leak
-        checker) attribute every segment to its generation."""
+        schedule), the executor's arena, and — for cross-process backends —
+        a fresh engine token and the published compiled arrays.  On shm the
+        arena's segments are tagged ``g<weights_epoch>`` so ``/dev/shm``
+        listings (and the leak checker) attribute every segment to its
+        generation."""
         if self.engine == "scheduled":
             schedule = aug.schedule()
             relaxers = schedule.relaxers
@@ -233,38 +227,24 @@ class QueryEngine:
             schedule = None
             relaxers = [aug.relaxer()]
         token = f"qe{os.getpid()}_{next(_TOKENS)}"
-        arena = None
+        arena = self._exe.arena(tag=f"g{int(getattr(aug, 'weights_epoch', 0))}")
         spec: dict[str, Any] | None = None
-        if self._use_shm:
-            from ..pram.shm import ShmArena
-
-            arena = ShmArena(tag=f"g{int(getattr(aug, 'weights_epoch', 0))}")
-            spec = self._make_spec(
-                aug,
-                token,
-                self._dedup_phases(relaxers, lambda r: {
-                    k: arena.publish(v) for k, v in r.compiled().items()
-                }),
-            )
-        elif not isinstance(self._exe, (SerialExecutor, ThreadExecutor)):
-            spec = self._make_spec(
-                aug, token, self._dedup_phases(relaxers, lambda r: r.compiled())
-            )
+        if not self._exe.in_process:
+            spec = self._make_spec(aug, token, self._publish_phases(relaxers, arena))
         return schedule, relaxers, arena, spec, token
 
     @staticmethod
-    def _dedup_phases(relaxers, compile_one) -> list[dict[str, Any]]:
-        """Compile (and, on shm, publish) each *distinct* relaxer object
-        once; repeated phases share the resulting dict.  The sharing is what
-        lets workers frontier-prune the repeated prefix/suffix phases, and
-        on shm it also publishes the full edge set once instead of 2ℓ
-        times."""
+    def _publish_phases(relaxers, arena) -> list[dict[str, Any]]:
+        """Compile and publish each *distinct* relaxer object once;
+        repeated phases share the resulting dict.  The sharing is what lets
+        workers frontier-prune the repeated prefix/suffix phases, and it
+        also publishes the full edge set once instead of 2ℓ times."""
         compiled: dict[int, dict[str, Any]] = {}
         phases = []
         for r in relaxers:
             d = compiled.get(id(r))
             if d is None:
-                d = compile_one(r)
+                d = {k: arena.publish(v) for k, v in r.compiled().items()}
                 compiled[id(r)] = d
             phases.append(d)
         return phases
@@ -303,8 +283,7 @@ class QueryEngine:
         schedule, relaxers, arena, spec, token = self._compile_generation(aug)
         with self._lock:
             if self._closed:
-                if arena is not None:
-                    arena.close()
+                arena.close()
                 raise ValueError("engine is closed")
             old_arena = self._arena
             self.aug = aug
@@ -319,8 +298,7 @@ class QueryEngine:
             self._dist_view = None
             self.reweights += 1
             self._check_epoch()
-        if old_arena is not None:
-            old_arena.close()
+        old_arena.close()
 
     # -------------------------------------------------------------- #
 
@@ -363,25 +341,17 @@ class QueryEngine:
             self._run_inline(dist)
             return 1
         shards = self._shards(s)
-        if self._use_shm:
-            self._ensure_dist_block(s, n, self.aug.semiring.dtype)
-            self._dist_view[:s] = dist
-            payloads = [
-                {"engine": self._spec, "dist": self._dist_ref,
-                 "row_start": a, "row_stop": b}
-                for a, b in shards
-            ]
-            self._exe.map(_shard_worker, payloads)
-            dist[...] = self._dist_view[:s]
-        elif self._spec is not None:  # plain process pool: rows are pickled
-            payloads = [
-                {"engine": self._spec, "rows": dist[a:b]} for a, b in shards
-            ]
-            outs = self._exe.map(_shard_worker, payloads)
-            for (a, b), out in zip(shards, outs):
-                dist[a:b] = out["rows"]
-        else:  # thread pool: shared address space, relax shards in place
+        if self._exe.in_process:  # shared address space: relax shards in place
             self._exe.map(lambda ab: self._run_inline(dist[ab[0] : ab[1]]), shards)
+            return len(shards)
+        self._ensure_dist_block(s, n, self.aug.semiring.dtype)
+        self._dist_view[:s] = dist
+        payloads = [
+            {"engine": self._spec, "dist": self._dist_ref, "row_start": a, "row_stop": b}
+            for a, b in shards
+        ]
+        self._exe.map(_shard_worker, payloads)
+        dist[...] = self._dist_view[:s]
         return len(shards)
 
     def _check_epoch(self) -> None:
@@ -508,7 +478,7 @@ class QueryEngine:
             base.update({
                 "engine": self.engine,
                 "phases": len(self._relaxers),
-                "shared_bytes": self._arena.allocated_bytes if self._arena else 0,
+                "shared_bytes": self._arena.allocated_bytes,
                 "last_batch": None if self.last_batch is None else dict(self.last_batch),
                 "reweights": self.reweights,
                 "row_cache": {
@@ -535,8 +505,7 @@ class QueryEngine:
                 return
             self._closed = True
             self._row_cache.clear()
-            if self._arena is not None:
-                self._arena.close()
+            self._arena.close()
         if self._owns_exe:
             self._exe.close()
 

@@ -1,8 +1,8 @@
-"""Zero-copy shared-memory plane for the process backends.
+"""Zero-copy shared-memory plane for the ``shm`` process backend.
 
-The process executor is honest parallelism, but pickling a node's distance
-matrix into the task payload and pickling the result matrix back costs more
-than the min-plus kernel it parallelizes.  This module removes both copies:
+A process pool is honest parallelism, but pickling a node's distance matrix
+into the task payload and pickling the result matrix back costs more than
+the min-plus kernel it parallelizes.  This module removes both copies:
 
 * a :class:`ShmArena` publishes numpy arrays into ``multiprocessing``
   POSIX shared-memory segments once, handing back tiny :class:`ArrayRef`

@@ -99,7 +99,6 @@ class TestExecutors:
         [
             "serial",
             "thread:2",
-            pytest.param("process:2", marks=pytest.mark.multiproc),
             pytest.param("shm:2", marks=pytest.mark.multiproc),
         ],
     )

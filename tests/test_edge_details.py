@@ -141,7 +141,6 @@ class TestExecutorErrors:
         [
             "serial",
             "thread:2",
-            pytest.param("process:2", marks=pytest.mark.multiproc),
             pytest.param("shm:2", marks=pytest.mark.multiproc),
         ],
     )

@@ -34,7 +34,9 @@ class TestDefaults:
 
     @pytest.mark.parametrize(
         "bad", [{"method": "magic"}, {"engine": "warp"}, {"kernel": "fast"},
-                {"semiring": "tropical-ish"}]
+                {"semiring": "tropical-ish"}, {"executor": "bogus"},
+                {"executor": "shm:x"}, {"executor": "thread:0"},
+                {"executor": "serial:3"}, {"executor": "process:2"}]
     )
     def test_invalid_values_raise(self, bad):
         with pytest.raises(ValueError):

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.pram.executor import ProcessExecutor, SerialExecutor, ThreadExecutor, get_executor
+from repro.pram.executor import (
+    LocalArena,
+    SerialExecutor,
+    ThreadExecutor,
+    get_executor,
+    parse_spec,
+)
 from repro.pram.machine import NULL_LEDGER, Ledger, log2ceil
 from repro.pram.primitives import (
     list_rank,
@@ -103,21 +109,13 @@ class TestExecutors:
         exe.close()
 
     @pytest.mark.multiproc
-    def test_process_executor(self):
-        exe = ProcessExecutor(2)
-        try:
-            assert exe.map(_square, [3, 5]) == [9, 25]
-        finally:
-            exe.close()
-
-    @pytest.mark.multiproc
     def test_shm_executor_spec(self):
         from repro.pram.executor import ShmExecutor
 
         exe = get_executor("shm:2")
         try:
             assert isinstance(exe, ShmExecutor)
-            assert exe.workers == 2 and exe.uses_shared_memory
+            assert exe.workers == 2 and not exe.in_process
             assert exe.map(_square, [3, 5]) == [9, 25]
         finally:
             exe.close()
@@ -130,6 +128,31 @@ class TestExecutors:
         assert isinstance(get_executor(None), SerialExecutor)
         with pytest.raises(ValueError):
             get_executor("gpu")
+        assert parse_spec("thread") == ("thread", None)
+        assert parse_spec("shm:3") == ("shm", 3)
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["thread:0", "shm:0", "thread:-2", "shm:x", "thread:", "thread:1.5",
+         "serial:3", "serial:", "process", "process:2", "gpu", ""],
+    )
+    def test_get_executor_rejects_bad_specs(self, spec):
+        """Counts must be positive integers, ``serial`` takes none, and the
+        removed ``process`` backend is an unknown name like any other; the
+        error names the grammar, and no pool is started."""
+        with pytest.raises(ValueError, match=r"serial \| thread\[:N\] \| shm\[:N\]"):
+            get_executor(spec)
+
+    @pytest.mark.parametrize("exe", [SerialExecutor(), ThreadExecutor(2)])
+    def test_in_process_arena_shares_without_copying(self, exe):
+        arena = exe.arena()
+        assert isinstance(arena, LocalArena) and exe.in_process
+        a = np.arange(6.0)
+        assert arena.publish(a) is a
+        handle, view = arena.alloc((2, 3), np.float64)
+        assert handle is view and view.shape == (2, 3)
+        arena.close()
+        exe.close()
 
     def test_get_executor_passthrough(self):
         exe = SerialExecutor()

@@ -16,7 +16,6 @@ from tests.conftest import assert_distances_equal, reference_apsp
 BACKENDS = [
     "serial",
     "thread:2",
-    pytest.param("process:2", marks=pytest.mark.multiproc),
     pytest.param("shm:2", marks=pytest.mark.multiproc),
 ]
 

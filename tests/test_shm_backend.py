@@ -1,6 +1,7 @@
 """Zero-copy shared-memory plane: arena unit tests, backend equivalence
-(bit-equal augmentations across serial/thread/process/shm on two semirings,
-with negative weights and negative cycles), and /dev/shm leak checks.
+(bit-equal augmentations and ledgers across serial/thread/shm on two
+semirings, with negative weights and negative cycles), and /dev/shm leak
+checks.
 
 Pool-spawning tests carry the ``multiproc`` marker; the default fast lane
 (``-m "not multiproc"``) still exercises the arena itself in-process.
@@ -20,6 +21,8 @@ from repro.core.doubling_shared import augment_doubling_shared
 from repro.core.leaves_up import augment_leaves_up
 from repro.core.semiring import BOOLEAN
 from repro.core.sssp import sssp_scheduled
+from repro.pram.executor import LocalArena
+from repro.pram.machine import Ledger
 from repro.pram.shm import ArrayRef, ShmArena, as_array, orphaned_segments, resolve
 from repro.separators.grid import decompose_grid
 from repro.workloads.generators import grid_digraph
@@ -114,9 +117,7 @@ class TestShmArena:
         aug = ShortestPathOracle.build(g, tree).augmentation
         relaxers = aug.schedule().relaxers
         with ShmArena() as arena:
-            phases = QueryEngine._dedup_phases(
-                relaxers, lambda r: {k: arena.publish(v) for k, v in r.compiled().items()}
-            )
+            phases = QueryEngine._publish_phases(relaxers, arena)
             distinct = len({id(ph) for ph in phases})
             assert distinct < len(phases)  # the workload does repeat phases
             spec = {
@@ -149,46 +150,76 @@ class TestShmArena:
             assert arena.allocated_bytes >= b0 + 800
 
 
-@pytest.mark.multiproc
-class TestShmBackendEquivalence:
-    """shm:N must reproduce the serial augmentation bit for bit."""
+@pytest.fixture
+def arena_blocks(monkeypatch):
+    """Every block any arena allocates during the test (orchestrator-side
+    views), to check that returned matrices never alias arena memory."""
+    blocks = []
 
-    def test_min_plus_negative_weights(self, grid6_negative, build):
+    def recording(alloc):
+        def wrapped(self, shape, dtype):
+            handle, view = alloc(self, shape, dtype)
+            blocks.append(view)
+            return handle, view
+
+        return wrapped
+
+    for cls in (LocalArena, ShmArena):
+        monkeypatch.setattr(cls, "alloc", recording(cls.alloc))
+    return blocks
+
+
+def _built(build, g, tree, *args, **kwargs):
+    ledger = Ledger()
+    return build(g, tree, *args, ledger=ledger, **kwargs), ledger
+
+
+@pytest.mark.parametrize(
+    "executor", ["thread:2", pytest.param("shm:2", marks=pytest.mark.multiproc)]
+)
+class TestShmBackendEquivalence:
+    """Every executor must reproduce the serial augmentation bit for bit:
+    E⁺, leaf diameters, node matrices, and the ledger's work and depth."""
+
+    def test_min_plus_negative_weights(self, grid6_negative, build, executor, arena_blocks):
         g, tree = grid6_negative
-        base = build(g, tree, keep_node_distances=True)
-        alt = build(g, tree, executor="shm:2", keep_node_distances=True)
+        base, base_ledger = _built(build, g, tree, keep_node_distances=True)
+        del arena_blocks[:]
+        alt, alt_ledger = _built(build, g, tree, executor=executor, keep_node_distances=True)
         assert np.array_equal(base.src, alt.src)
         assert np.array_equal(base.dst, alt.dst)
         assert np.array_equal(base.weight, alt.weight)
         assert base.leaf_diameters == alt.leaf_diameters
+        assert (base_ledger.work, base_ledger.depth) == (alt_ledger.work, alt_ledger.depth)
+        assert arena_blocks
         for idx, nd in base.node_distances.items():
-            assert np.array_equal(nd.vertices, alt.node_distances[idx].vertices)
-            assert np.array_equal(nd.matrix, alt.node_distances[idx].matrix)
+            got = alt.node_distances[idx]
+            assert np.array_equal(nd.vertices, got.vertices)
+            assert np.array_equal(nd.matrix, got.matrix)
+            assert not any(np.shares_memory(got.matrix, blk) for blk in arena_blocks)
         assert orphaned_segments() == []
         assert_distances_equal(sssp_scheduled(alt, [0, 7]), reference_apsp(g)[[0, 7]])
 
-    def test_boolean_semiring(self, grid7, build):
+    def test_boolean_semiring(self, grid7, build, executor):
         g, tree = grid7
-        base = build(g, tree, BOOLEAN, keep_node_distances=False)
-        alt = build(g, tree, BOOLEAN, executor="shm:2", keep_node_distances=False)
+        base, base_ledger = _built(build, g, tree, BOOLEAN, keep_node_distances=False)
+        alt, alt_ledger = _built(
+            build, g, tree, BOOLEAN, executor=executor, keep_node_distances=False
+        )
         assert np.array_equal(base.src, alt.src)
         assert np.array_equal(base.dst, alt.dst)
         assert np.array_equal(base.weight, alt.weight)
+        assert base.leaf_diameters == alt.leaf_diameters
+        assert (base_ledger.work, base_ledger.depth) == (alt_ledger.work, alt_ledger.depth)
         assert orphaned_segments() == []
 
-    def test_negative_cycle_detected_and_no_leak(self, build):
+    def test_negative_cycle_detected_and_no_leak(self, build, executor):
         g = grid_digraph((4, 4), None)
         g = g.with_extra_edges([0, 1], [1, 0], [-3.0, 1.0])
         tree = decompose_grid(g, (4, 4), leaf_size=4)
         with pytest.raises(NegativeCycleDetected):
-            build(g, tree, executor="shm:2")
+            build(g, tree, executor=executor)
         assert orphaned_segments() == []
-
-    def test_process_backend_still_matches(self, grid6_negative):
-        g, tree = grid6_negative
-        base = augment_leaves_up(g, tree)
-        alt = augment_leaves_up(g, tree, executor="process:2")
-        assert np.array_equal(base.weight, alt.weight)
 
 
 def _touch(payload):
