@@ -124,7 +124,7 @@ class Augmentation:
 
     def relaxer(self):
         """Full-edge-set :class:`~repro.kernels.bellman_ford.EdgeRelaxer`
-        over G⁺ (built once, then cached — the dst-sorted permutation is the
+        over G⁺ (built once, then cached — grouping the edges by head is the
         expensive part of every naive query)."""
         if self._relaxer is None:
             from ..kernels.bellman_ford import EdgeRelaxer  # local: avoids cycle

@@ -9,8 +9,8 @@ than the relaxation itself.  :class:`QueryEngine` is the amortized form:
   from the augmentation's caches (constructed at most once per
   augmentation, shared with :mod:`repro.core.sssp`);
 * **publish once** — on the ``shm`` backend the compiled phase arrays
-  (dst-sorted edge lists, segment starts, targets) are written to a
-  shared-memory arena a single time; per-query task payloads carry only
+  (the degree-bucketed edge layout of each distinct relaxer) are written
+  to a shared-memory arena a single time; per-query task payloads carry only
   descriptors and row ranges — O(1) bytes per shard;
 * **relax in parallel** — a batch of ``s`` sources is an ``(s, n)``
   distance matrix whose rows are independent (the PRAM's per-source
@@ -21,8 +21,9 @@ than the relaxation itself.  :class:`QueryEngine` is the amortized form:
   *its own* rows stop improving (a per-shard changed-flag reduction);
   in ``scheduled`` mode one schedule pass is exact by Theorem 3.1.
 
-Worker processes memoize the compiled relaxers per engine (keyed by an
-engine token), so repeated batches touch no setup code anywhere.
+Worker processes memoize the compiled relaxers per engine and generation
+(engine id plus generation token), so repeated batches touch no setup code
+anywhere, and a reweight's new generation evicts the old one worker-side.
 
     >>> oracle = ShortestPathOracle.build(g, tree)
     >>> with oracle.query_engine(executor="shm:4") as eng:
@@ -43,6 +44,8 @@ import numpy as np
 
 from ..kernels.bellman_ford import EdgeRelaxer, initial_distances, run_phases
 from ..pram.executor import get_executor
+from ..pram.machine import Ledger
+from ..pram.shm import release_unlinked
 from .augment import Augmentation
 from .config import UNSET, OracleConfig, resolve_config
 from .semiring import SEMIRINGS
@@ -52,62 +55,86 @@ __all__ = ["QueryEngine"]
 
 _TOKENS = itertools.count()
 
-#: Worker-side memo of compiled relaxer lists, keyed by engine token; bounded
-#: (cleared wholesale when it grows past a handful of engines).
-_ENGINE_CACHE: dict[str, list[EdgeRelaxer]] = {}
+#: Worker-side memo of compiled relaxer lists, keyed by engine id and holding
+#: ``(generation token, relaxers)``: one generation per engine, and at most a
+#: handful of engines (cleared wholesale past that).
+_ENGINE_CACHE: dict[str, tuple[str, list[EdgeRelaxer]]] = {}
 _ENGINE_CACHE_MAX = 8
 
 
 def _shard_relaxers(spec: dict[str, Any]) -> list[EdgeRelaxer]:
-    """Worker-side: compiled relaxers for an engine spec, memoized by token.
+    """Worker-side: compiled relaxers for an engine spec, memoized per
+    engine and generation.
 
     Phases sharing one compiled-array dict (the ℓ prefix/suffix full-edge
     phases — pickle preserves the sharing) are rebuilt as *one* relaxer
     object repeated, so :func:`~repro.kernels.bellman_ford.run_phases` can
-    frontier-prune across the repetitions worker-side too."""
-    relaxers = _ENGINE_CACHE.get(spec["token"])
-    if relaxers is None:
-        semiring = SEMIRINGS[spec["semiring"]]
-        kernel = spec.get("kernel")  # the build's kernel choice, worker-side
-        built: dict[int, EdgeRelaxer] = {}
-        relaxers = []
-        for ph in spec["phases"]:
-            r = built.get(id(ph))
-            if r is None:
-                r = EdgeRelaxer.from_compiled(ph, semiring, kernel=kernel)
-                built[id(ph)] = r
-            relaxers.append(r)
-        if len(_ENGINE_CACHE) >= _ENGINE_CACHE_MAX:
-            _ENGINE_CACHE.clear()
-        _ENGINE_CACHE[spec["token"]] = relaxers
+    frontier-prune across the repetitions worker-side too.
+
+    A new generation token (a reweight) evicts the engine's previous
+    relaxers.  Whenever anything is evicted the worker also unmaps every
+    shared segment its owner has unlinked, so retired arena generations do
+    not stay resident in the pool."""
+    key = spec["engine_id"]
+    cached = _ENGINE_CACHE.get(key)
+    if cached is not None:
+        if cached[0] == spec["token"]:
+            return cached[1]
+        del _ENGINE_CACHE[key]  # a retired generation of this engine
+        release_unlinked()
+    elif len(_ENGINE_CACHE) >= _ENGINE_CACHE_MAX:
+        _ENGINE_CACHE.clear()
+        release_unlinked()
+    semiring = SEMIRINGS[spec["semiring"]]
+    kernel = spec.get("kernel")  # the build's kernel choice, worker-side
+    built: dict[int, EdgeRelaxer] = {}
+    relaxers = []
+    for ph in spec["phases"]:
+        r = built.get(id(ph))
+        if r is None:
+            r = EdgeRelaxer.from_compiled(ph, semiring, kernel=kernel)
+            built[id(ph)] = r
+        relaxers.append(r)
+    _ENGINE_CACHE[key] = (spec["token"], relaxers)
     return relaxers
 
 
 def _shard_worker(payload: dict[str, Any]) -> dict[str, Any]:
     """Relax one shard of distance rows to completion (module level for
-    pickling).
+    pickling); returns the edge scans this shard actually ran.
 
     The shard is a view into the shared distance block (``dist`` + row
     range); results are written in place.  ``scheduled`` mode runs the one
     exact §3.2 pass; ``naive`` mode iterates the full-edge relaxer until
     this shard's rows converge.
     """
-    relaxers = _shard_relaxers(payload["engine"])
+    spec = payload["engine"]
     rows = payload["dist"][payload["row_start"] : payload["row_stop"]]
-    block = max(1, int(payload["engine"]["source_block"]))
-    phases = 0
-    if payload["engine"]["mode"] == "scheduled":
+    scans = _relax_rows(
+        _shard_relaxers(spec), rows, spec["mode"], int(spec["cap"]), int(spec["source_block"])
+    )
+    return {"edge_scans": scans}
+
+
+def _relax_rows(
+    relaxers: list[EdgeRelaxer], rows: np.ndarray, mode: str, cap: int, block: int
+) -> float:
+    """Relax the ``(s, n)`` rows in place under one engine mode; returns the
+    edge scans charged to a private ledger (one per shard, never shared
+    across threads)."""
+    ledger = Ledger()
+    block = max(1, block)
+    if mode == "scheduled":
         for start in range(0, rows.shape[0], block):
-            run_phases(relaxers, rows[start : start + block])
-        phases = len(relaxers)
+            run_phases(relaxers, rows[start : start + block], ledger=ledger)
     else:
         relaxer = relaxers[0]
-        cap = int(payload["engine"]["cap"])
         active = np.arange(rows.shape[0])
+        phases = 0
         while active.size and phases < cap:
-            active = relaxer.relax_rows(rows, active)
+            active = relaxer.relax_rows(rows, active, ledger=ledger)
             phases += 1
-    return {"phases": phases}
+    return ledger.work
 
 
 class QueryEngine:
@@ -183,12 +210,12 @@ class QueryEngine:
         # generation and flips.
         self._dist_ref = None
         self._dist_view = None
+        self._engine_id = f"qe{os.getpid()}_{next(_TOKENS)}"
         (
             self.schedule,
             self._relaxers,
             self._arena,
             self._spec,
-            self._token,
         ) = self._compile_generation(aug)
         # Telemetry.  The lock makes submissions (and the counters) safe to
         # drive from multiple threads — the asyncio server submits batches
@@ -216,22 +243,21 @@ class QueryEngine:
     def _compile_generation(self, aug: Augmentation):
         """Build one generation of serving state for ``aug``: relaxers (and
         schedule), the executor's arena, and — for cross-process backends —
-        a fresh engine token and the published compiled arrays.  On shm the
-        arena's segments are tagged ``g<weights_epoch>`` so ``/dev/shm``
-        listings (and the leak checker) attribute every segment to its
-        generation."""
+        the published compiled arrays under a fresh generation token.  On
+        shm the arena's segments are tagged ``g<weights_epoch>`` so
+        ``/dev/shm`` listings (and the leak checker) attribute every segment
+        to its generation."""
         if self.engine == "scheduled":
             schedule = aug.schedule()
             relaxers = schedule.relaxers
         else:
             schedule = None
             relaxers = [aug.relaxer()]
-        token = f"qe{os.getpid()}_{next(_TOKENS)}"
         arena = self._exe.arena(tag=f"g{int(getattr(aug, 'weights_epoch', 0))}")
         spec: dict[str, Any] | None = None
         if not self._exe.in_process:
-            spec = self._make_spec(aug, token, self._publish_phases(relaxers, arena))
-        return schedule, relaxers, arena, spec, token
+            spec = self._make_spec(aug, self._publish_phases(relaxers, arena))
+        return schedule, relaxers, arena, spec
 
     @staticmethod
     def _publish_phases(relaxers, arena) -> list[dict[str, Any]]:
@@ -249,11 +275,10 @@ class QueryEngine:
             phases.append(d)
         return phases
 
-    def _make_spec(
-        self, aug: Augmentation, token: str, phases: list[dict[str, Any]]
-    ) -> dict[str, Any]:
+    def _make_spec(self, aug: Augmentation, phases: list[dict[str, Any]]) -> dict[str, Any]:
         return {
-            "token": token,
+            "engine_id": self._engine_id,
+            "token": f"{self._engine_id}.{next(_TOKENS)}",
             "semiring": aug.semiring.name,
             "mode": self.engine,
             "cap": aug.diameter_bound,
@@ -280,7 +305,7 @@ class QueryEngine:
             raise ValueError("reweight() needs an augmentation over the same vertex set")
         if aug.semiring.name != self.aug.semiring.name:
             raise ValueError("reweight() cannot change the semiring")
-        schedule, relaxers, arena, spec, token = self._compile_generation(aug)
+        schedule, relaxers, arena, spec = self._compile_generation(aug)
         with self._lock:
             if self._closed:
                 arena.close()
@@ -291,7 +316,6 @@ class QueryEngine:
             self._relaxers = relaxers
             self._arena = arena
             self._spec = spec
-            self._token = token
             # The reusable distance block lived in the old generation's
             # arena; the next batch re-allocates it in the new one.
             self._dist_ref = None
@@ -302,21 +326,13 @@ class QueryEngine:
 
     # -------------------------------------------------------------- #
 
-    def _run_inline(self, rows: np.ndarray) -> None:
-        """Relax ``rows`` in the calling thread (serial path / small batch);
-        both modes frontier-prune converged source rows."""
-        block = max(1, self.source_block)
-        if self.engine == "scheduled":
-            for start in range(0, rows.shape[0], block):
-                self.schedule.run(rows[start : start + block])
-        else:
-            relaxer, cap = self._relaxers[0], self.aug.diameter_bound
-            view = rows if rows.ndim == 2 else rows[None, :]
-            active = np.arange(view.shape[0])
-            phases = 0
-            while phases < cap and active.size:
-                active = relaxer.relax_rows(view, active)
-                phases += 1
+    def _run_inline(self, rows: np.ndarray) -> float:
+        """Relax the ``(s, n)`` rows in the calling thread (serial path,
+        small batch, or one thread shard); both modes frontier-prune
+        converged source rows.  Returns the edge scans actually run."""
+        return _relax_rows(
+            self._relaxers, rows, self.engine, self.aug.diameter_bound, self.source_block
+        )
 
     def _shards(self, s: int) -> list[tuple[int, int]]:
         """Split ``s`` rows into one contiguous range per worker."""
@@ -331,28 +347,27 @@ class QueryEngine:
         rows = max(s, 2 * (self._dist_view.shape[0] if self._dist_view is not None else 0))
         self._dist_ref, self._dist_view = self._arena.alloc((rows, n), dtype)
 
-    def _relax_matrix(self, dist: np.ndarray) -> int:
+    def _relax_matrix(self, dist: np.ndarray) -> tuple[int, float]:
         """Relax the ``(s, n)`` row matrix in place (inline or sharded
-        across the pool, exactly as :meth:`submit` always did); returns the
-        shard count.  Caller holds the engine lock."""
+        across the pool); returns the shard count and the edge scans the
+        shards actually ran.  Caller holds the engine lock."""
         s, n = dist.shape
         workers = max(1, getattr(self._exe, "workers", 1))
         if workers <= 1 or s < 2:
-            self._run_inline(dist)
-            return 1
+            return 1, self._run_inline(dist)
         shards = self._shards(s)
         if self._exe.in_process:  # shared address space: relax shards in place
-            self._exe.map(lambda ab: self._run_inline(dist[ab[0] : ab[1]]), shards)
-            return len(shards)
+            scans = self._exe.map(lambda ab: self._run_inline(dist[ab[0] : ab[1]]), shards)
+            return len(shards), sum(scans)
         self._ensure_dist_block(s, n, self.aug.semiring.dtype)
         self._dist_view[:s] = dist
         payloads = [
             {"engine": self._spec, "dist": self._dist_ref, "row_start": a, "row_stop": b}
             for a, b in shards
         ]
-        self._exe.map(_shard_worker, payloads)
+        done = self._exe.map(_shard_worker, payloads)
         dist[...] = self._dist_view[:s]
-        return len(shards)
+        return len(shards), sum(d["edge_scans"] for d in done)
 
     def _check_epoch(self) -> None:
         """Drop every cached row if the augmentation's weights epoch moved
@@ -385,10 +400,13 @@ class QueryEngine:
     def submit(self, sources) -> tuple[np.ndarray, dict[str, Any]]:
         """Batch-submission hook: like :meth:`query`, but also returns the
         per-batch execution record ``{"rows", "shards", "wall_s",
-        "cached_rows", "weights_epoch"}`` — what a serving layer needs for coalesce-factor /
-        fan-out metrics without re-deriving the sharding.  Thread-safe:
-        concurrent submitters are serialized on the engine lock (shards of
-        *one* batch still run in parallel across the pool).
+        "cached_rows", "weights_epoch", "edge_scans"}`` — what a serving
+        layer needs for coalesce-factor / fan-out metrics without
+        re-deriving the sharding.  ``edge_scans`` is the relaxation work
+        the shards actually ran (frontier pruning included), the same on
+        every executor.  Thread-safe: concurrent submitters are serialized
+        on the engine lock (shards of *one* batch still run in parallel
+        across the pool).
 
         With ``config.row_cache > 0``, rows whose source is in the LRU (or
         repeats an earlier source of the same batch) are filled without
@@ -406,9 +424,10 @@ class QueryEngine:
             self.rows_served += s
             cap = self.row_cache_capacity
             cached_rows = 0
+            scans = 0.0
             if cap <= 0:
                 dist = initial_distances(n, srcs, semiring)
-                nshards = self._relax_matrix(dist)
+                nshards, scans = self._relax_matrix(dist)
             else:
                 self._check_epoch()
                 dist = np.empty((s, n), dtype=semiring.dtype)
@@ -427,7 +446,7 @@ class QueryEngine:
                         miss_first, dtype=np.int64, count=len(miss_first)
                     )
                     sub = initial_distances(n, miss_srcs, semiring)
-                    nshards = self._relax_matrix(sub)
+                    nshards, scans = self._relax_matrix(sub)
                     for j, (v, i) in enumerate(miss_first.items()):
                         dist[i] = sub[j]
                         # A private copy: the row handed to callers (inside
@@ -451,6 +470,7 @@ class QueryEngine:
                 "wall_s": time.perf_counter() - t0,
                 "cached_rows": int(cached_rows),
                 "weights_epoch": self.weights_epoch,
+                "edge_scans": int(scans),
             }
             self.last_batch = info
         return (dist[0] if single else dist), info

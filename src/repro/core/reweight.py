@@ -49,7 +49,7 @@ from typing import Any
 
 import numpy as np
 
-from ..kernels.bellman_ford import EdgeRelaxer, min_weight_diameter
+from ..kernels.bellman_ford import EdgeRelaxer, bucket_layout, min_weight_diameter
 from .augment import (
     Augmentation,
     NegativeCycleDetected,
@@ -597,67 +597,32 @@ class ReweightPlan:
     # -------------------------- schedule ---------------------------- #
 
     def ensure_schedule_cache(self, aug: Augmentation) -> None:
-        """Record the §3.2 phase permutations against ``aug``'s E⁺ pair
-        structure (masks and dst-sorts are weight-independent)."""
+        """Record the §3.2 phase layouts against ``aug``'s E⁺ pair
+        structure (phase edge sets and their :func:`~repro.kernels.
+        bellman_ford.bucket_layout` groupings are weight-independent)."""
         if self._sched is not None:
             return
+        from .scheduler import middle_phase_edges  # local: avoids import cycle
+
         tree, g = aug.tree, aug.graph
-        d_g = tree.height
         lv = tree.vertex_level
         src = np.concatenate([g.src, aug.src])
         dst = np.concatenate([g.dst, aug.dst])
-        lv1, lv2 = lv[src], lv[dst]
         aug_counts = np.zeros(src.shape[0], dtype=np.int64)
         phases = []
-
-        def add_filtered(mask: np.ndarray, label: str) -> None:
-            aug_counts[mask] += 1
-            idx = np.nonzero(mask)[0]
-            perm = idx[np.argsort(dst[idx], kind="stable")]
-            dst_sorted = dst[perm]
-            if perm.size:
-                new_group = np.ones(perm.shape[0], dtype=bool)
-                new_group[1:] = dst_sorted[1:] != dst_sorted[:-1]
-                ph_starts = np.nonzero(new_group)[0]
-                targets = dst_sorted[ph_starts]
-            else:
-                ph_starts = np.empty(0, dtype=np.int64)
-                targets = np.empty(0, dtype=np.int64)
+        for label, idx in middle_phase_edges(lv[src], lv[dst], tree.height):
+            aug_counts[idx] += 1
+            perm, targets, buckets = bucket_layout(dst[idx])
+            perm = idx[perm]
             phases.append({
                 "label": label,
                 "perm": perm,
                 "src": src[perm],
-                "starts": ph_starts,
                 "targets": targets,
+                "buckets": buckets,
             })
 
-        for i in range(1, 2 * d_g + 2):
-            if i % 2 == 1:
-                lam = d_g - (i - 1) // 2
-                add_filtered((lv1 == lam) & (lv2 == lam), f"desc-same-{lam}")
-            else:
-                lam = d_g - i // 2 + 1
-                add_filtered(
-                    (lv1 == lam) & (lv2 >= 0) & (lv2 < lam), f"desc-drop-{lam}"
-                )
-        for i in range(1, 2 * d_g + 1):
-            if i % 2 == 1:
-                lam = (i - 1) // 2
-                add_filtered((lv1 == lam) & (lv2 > lam), f"asc-rise-{lam}")
-            else:
-                lam = i // 2
-                add_filtered((lv1 == lam) & (lv2 == lam), f"asc-same-{lam}")
-
-        perm_o = np.argsort(g.dst, kind="stable")
-        dst_o = g.dst[perm_o]
-        if perm_o.size:
-            new_group = np.ones(perm_o.shape[0], dtype=bool)
-            new_group[1:] = dst_o[1:] != dst_o[:-1]
-            o_starts = np.nonzero(new_group)[0]
-            o_targets = dst_o[o_starts]
-        else:
-            o_starts = np.empty(0, dtype=np.int64)
-            o_targets = np.empty(0, dtype=np.int64)
+        perm_o, o_targets, o_buckets = bucket_layout(g.dst)
         self._sched = {
             "src": aug.src.copy(),
             "dst": aug.dst.copy(),
@@ -665,14 +630,14 @@ class ReweightPlan:
             "aug_counts": aug_counts,
             "orig_perm": perm_o,
             "orig_src": g.src[perm_o],
-            "orig_starts": o_starts,
             "orig_targets": o_targets,
+            "orig_buckets": o_buckets,
         }
 
     def _clone_schedule(self, aug: Augmentation):
         """Rebuild a :class:`~repro.core.scheduler.PhaseSchedule` for a new
         weighting by re-gathering per-phase weights through the cached
-        permutations; ``None`` when the pair structure drifted (a weight hit
+        padded layout permutations; ``None`` when the pair structure drifted (a weight hit
         0̄ or a 0̄ pair came alive) — the caller then compiles cold."""
         if self._sched is None:
             return None
@@ -691,38 +656,32 @@ class ReweightPlan:
             {
                 "src": sc["orig_src"],
                 "w": w_orig,
-                "starts": sc["orig_starts"],
                 "targets": sc["orig_targets"],
+                "buckets": sc["orig_buckets"],
             },
             semiring,
             kernel=aug.kernel,
         )
         ell = aug.ell
-        relaxers, labels = [], []
-        scans = 0
-        for i in range(ell):
-            relaxers.append(original)
-            labels.append(f"prefix-E-{i + 1}")
-            scans += g.m
+        relaxers = [original] * ell
+        labels = [f"prefix-E-{i + 1}" for i in range(ell)]
+        scans = 2 * ell * g.m
         for ph in sc["phases"]:
-            relaxers.append(
-                EdgeRelaxer.from_compiled(
-                    {
-                        "src": ph["src"],
-                        "w": w[ph["perm"]],
-                        "starts": ph["starts"],
-                        "targets": ph["targets"],
-                    },
-                    semiring,
-                    kernel=aug.kernel,
-                )
+            r = EdgeRelaxer.from_compiled(
+                {
+                    "src": ph["src"],
+                    "w": w[ph["perm"]],
+                    "targets": ph["targets"],
+                    "buckets": ph["buckets"],
+                },
+                semiring,
+                kernel=aug.kernel,
             )
+            relaxers.append(r)
             labels.append(ph["label"])
-            scans += int(ph["perm"].shape[0])
-        for i in range(ell):
-            relaxers.append(original)
-            labels.append(f"suffix-E-{i + 1}")
-            scans += g.m
+            scans += r.m
+        relaxers += [original] * ell
+        labels += [f"suffix-E-{i + 1}" for i in range(ell)]
         return PhaseSchedule(
             relaxers=relaxers,
             labels=labels,

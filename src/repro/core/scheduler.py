@@ -33,9 +33,8 @@ import numpy as np
 from ..kernels.bellman_ford import EdgeRelaxer, run_phases
 from ..pram.machine import NULL_LEDGER, Ledger
 from .augment import Augmentation
-from .semiring import Semiring
 
-__all__ = ["PhaseSchedule", "build_schedule"]
+__all__ = ["PhaseSchedule", "build_schedule", "middle_phase_edges"]
 
 
 @dataclass
@@ -55,8 +54,8 @@ class PhaseSchedule:
         return len(self.relaxers)
 
     def run(self, dist: np.ndarray, *, ledger: Ledger = NULL_LEDGER) -> np.ndarray:
-        """One full pass over the schedule; ``dist`` has shape ``(..., n)``
-        and is updated in place (and returned).
+        """One full pass over the schedule; ``dist`` has shape ``(n,)`` or
+        ``(rows, n)`` and is updated in place (and returned).
 
         The ℓ prefix and suffix phases reuse one full-edge relaxer, so
         :func:`~repro.kernels.bellman_ford.run_phases` frontier-prunes
@@ -66,68 +65,73 @@ class PhaseSchedule:
         return run_phases(self.relaxers, dist, ledger=ledger)
 
 
+def middle_phase_edges(
+    lv1: np.ndarray, lv2: np.ndarray, d_g: int
+) -> list[tuple[str, np.ndarray]]:
+    """``(label, edge indices)`` of the ``4·d_G + 1`` middle phases, in
+    schedule order, for edges with endpoint levels ``lv1 → lv2``.
+
+    Each phase filters on one tail level, so the edges are grouped by tail
+    level once and every filter reads only its own group; indices come out
+    ascending, exactly as ``np.nonzero`` of the full-length mask."""
+    by_tail = np.argsort(lv1, kind="stable")
+    tail_sorted = lv1[by_tail]
+
+    def tail(lam: int) -> np.ndarray:
+        lo, hi = np.searchsorted(tail_sorted, [lam, lam + 1])
+        return by_tail[lo:hi]
+
+    out = []
+    # Descending half: levels d_G, d_G, d_G-1, d_G-1, ..., 0.
+    for i in range(1, 2 * d_g + 2):
+        if i % 2 == 1:
+            lam = d_g - (i - 1) // 2
+            idx = tail(lam)
+            out.append((f"desc-same-{lam}", idx[lv2[idx] == lam]))
+        else:
+            lam = d_g - i // 2 + 1
+            idx = tail(lam)
+            head = lv2[idx]
+            out.append((f"desc-drop-{lam}", idx[(head >= 0) & (head < lam)]))
+    # Ascending half: rises from 0, 1, ..., interleaved with same-level.
+    for i in range(1, 2 * d_g + 1):
+        if i % 2 == 1:
+            lam = (i - 1) // 2
+            idx = tail(lam)
+            out.append((f"asc-rise-{lam}", idx[lv2[idx] > lam]))
+        else:
+            lam = i // 2
+            idx = tail(lam)
+            out.append((f"asc-same-{lam}", idx[lv2[idx] == lam]))
+    return out
+
+
 def build_schedule(aug: Augmentation) -> PhaseSchedule:
     """Compile the §3.2 schedule for an augmentation."""
     tree = aug.tree
     semiring = aug.semiring
     g = aug.graph
-    d_g = tree.height
     ell = aug.ell
     lv = tree.vertex_level  # -1 = undefined
     src, dst, w, is_aug = aug.combined_edges()
-    lv1 = lv[src]
-    lv2 = lv[dst]
-
-    relaxers: list[EdgeRelaxer] = []
-    labels: list[str] = []
-    scans = 0
-    aug_counts = np.zeros(src.shape[0], dtype=np.int64)
 
     kern = aug.kernel
     original = EdgeRelaxer(
         g.src, g.dst, g.weight.astype(semiring.dtype), semiring, kernel=kern
     )
-
-    def add_filtered(mask: np.ndarray, label: str) -> None:
-        nonlocal scans
-        aug_counts[mask] += 1
+    relaxers: list[EdgeRelaxer] = [original] * ell
+    labels = [f"prefix-E-{i + 1}" for i in range(ell)]
+    scans = 2 * ell * g.m
+    aug_counts = np.zeros(src.shape[0], dtype=np.int64)
+    for label, idx in middle_phase_edges(lv[src], lv[dst], tree.height):
+        aug_counts[idx] += 1
         relaxers.append(
-            EdgeRelaxer(src[mask], dst[mask], w[mask], semiring, kernel=kern)
+            EdgeRelaxer(src[idx], dst[idx], w[idx], semiring, kernel=kern)
         )
         labels.append(label)
-        scans += int(mask.sum())
-
-    for i in range(ell):
-        relaxers.append(original)
-        labels.append(f"prefix-E-{i + 1}")
-        scans += g.m
-
-    # Descending half: levels d_G, d_G, d_G-1, d_G-1, ..., 0.
-    for i in range(1, 2 * d_g + 2):
-        if i % 2 == 1:
-            lam = d_g - (i - 1) // 2
-            mask = (lv1 == lam) & (lv2 == lam)
-            add_filtered(mask, f"desc-same-{lam}")
-        else:
-            lam = d_g - i // 2 + 1
-            mask = (lv1 == lam) & (lv2 >= 0) & (lv2 < lam)
-            add_filtered(mask, f"desc-drop-{lam}")
-
-    # Ascending half: rises from 0, 1, ..., interleaved with same-level.
-    for i in range(1, 2 * d_g + 1):
-        if i % 2 == 1:
-            lam = (i - 1) // 2
-            mask = (lv1 == lam) & (lv2 > lam)
-            add_filtered(mask, f"asc-rise-{lam}")
-        else:
-            lam = i // 2
-            mask = (lv1 == lam) & (lv2 == lam)
-            add_filtered(mask, f"asc-same-{lam}")
-
-    for i in range(ell):
-        relaxers.append(original)
-        labels.append(f"suffix-E-{i + 1}")
-        scans += g.m
+        scans += int(idx.shape[0])
+    relaxers += [original] * ell
+    labels += [f"suffix-E-{i + 1}" for i in range(ell)]
 
     return PhaseSchedule(
         relaxers=relaxers,

@@ -6,7 +6,11 @@ running ``diam`` synchronous phases, each scanning every edge.  This module
 implements that phase engine in vectorized form:
 
 * one phase = extend all edges from current distances and ⊕-reduce
-  per head vertex (``reduceat`` over a dst-sorted edge permutation);
+  per head vertex.  The edges are grouped by head into degree buckets
+  (:func:`bucket_layout`): heads of one in-degree class ⌈log₂ deg⌉ share a
+  k-major ``(k, g)`` block, padded with repeats of each head's own last
+  edge, so the per-head ⊕ is a reduction over ``k`` contiguous slabs of
+  ``g`` values instead of one scalar loop per head;
 * all sources are relaxed simultaneously as rows of an ``(s, n)`` matrix,
   which is exactly the PRAM's per-source independence.
 
@@ -24,10 +28,11 @@ import numpy as np
 
 from ..core.digraph import WeightedDigraph
 from ..core.semiring import MIN_PLUS, Semiring
-from ..pram.machine import NULL_LEDGER, Ledger, log2ceil, reduce_depth
+from ..pram.machine import NULL_LEDGER, Ledger, reduce_depth
 
 __all__ = [
     "EdgeRelaxer",
+    "bucket_layout",
     "bellman_ford",
     "initial_distances",
     "phases_to_convergence",
@@ -42,27 +47,84 @@ class NegativeCycleError(ValueError):
     cycle is reachable from some source."""
 
 
+def bucket_layout(dst: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Degree-bucketed (ELL-style) grouping of an edge list by head vertex.
+
+    Heads are grouped by in-degree class ⌈log₂ deg⌉.  Bucket ``b`` holds
+    ``g`` heads whose largest in-degree is ``k`` and stores their edges as
+    one k-major ``(k, g)`` block: entry ``[j, h]`` is the ``j``-th edge (in
+    input order) into head ``h``, and a head with fewer than ``k`` edges
+    repeats its last edge.  The repeats are exact because every shipped ⊕
+    (min / max / or) is a selection, and since every in-degree of a class
+    exceeds ``k/2`` the padded layout has fewer than ``2m`` entries.
+
+    Returns ``(perm, targets, buckets)``: ``perm`` indexes the input edges
+    in layout order (blocks back to back, each flattened row-major),
+    ``targets`` lists the heads in bucket order, and ``buckets`` is an
+    ``(B, 3)`` int64 array of ``(k, g, edges)`` rows, ``edges`` being the
+    bucket's unpadded edge count.
+    """
+    dst = np.asarray(dst, dtype=np.int64)
+    m = int(dst.shape[0])
+    if not m:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, np.empty((0, 3), dtype=np.int64)
+    order = np.argsort(dst, kind="stable")
+    dst_sorted = dst[order]
+    new_group = np.ones(m, dtype=bool)
+    new_group[1:] = dst_sorted[1:] != dst_sorted[:-1]
+    starts = np.flatnonzero(new_group)
+    deg = np.diff(np.append(starts, m))
+    degree_class = np.frexp(deg - 1)[1]  # ⌈log₂ deg⌉, exact for integers
+    heads = np.argsort(degree_class, kind="stable")
+    cls_sorted = degree_class[heads]
+    cut = np.flatnonzero(cls_sorted[1:] != cls_sorted[:-1]) + 1
+    bounds = np.concatenate(([0], cut, [heads.shape[0]]))
+    perm_parts, buckets = [], []
+    for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        hb = heads[a:b]
+        deg_b = deg[hb]
+        k = int(deg_b.max())
+        slot = np.minimum(np.arange(k)[:, None], deg_b - 1)
+        perm_parts.append(order[starts[hb] + slot].ravel())
+        buckets.append((k, b - a, int(deg_b.sum())))
+    perm = np.concatenate(perm_parts)
+    return perm, dst_sorted[starts[heads]], np.array(buckets, dtype=np.int64)
+
+
+def _as_rows(dist: np.ndarray) -> np.ndarray:
+    """``dist`` as a 2-D ``(rows, n)`` view; a 1-D vector is one row."""
+    if dist.ndim == 1:
+        return dist[None, :]
+    if dist.ndim == 2:
+        return dist
+    raise ValueError(f"distances must be 1-D or 2-D, got shape {dist.shape}")
+
+
 class EdgeRelaxer:
     """Relaxation engine for a fixed edge set, grouped by head vertex.
 
-    The dst-sorted permutation and the ``reduceat`` segment boundaries are
-    precomputed once so each phase is two gathers, one ⊗, one segmented ⊕
-    and one ⊕-assignment — no Python-level per-edge work.
+    The edges are laid out once by :func:`bucket_layout`: heads of one
+    in-degree class share a k-major ``(k, g)`` block, so a phase is one
+    gather and one ⊗ per bucket, a ⊕-reduction over the ``k`` contiguous
+    slabs of each block, then one gather of the current values, one
+    improvement test and one ⊕-assignment for the whole phase — no
+    Python-level per-edge or per-head work.  Every candidate reads the
+    pre-phase values, so the phase is synchronous (Jacobi).
 
     ``kernel`` selects the phase implementation the same way it does for
     the matmuls (:mod:`repro.kernels.dispatch`): ``None`` defers to the
     process default (``$REPRO_KERNEL`` / :func:`~repro.kernels.dispatch.
-    set_default_kernel`), ``"jit"`` forces the compiled CSR core of
+    set_default_kernel`), ``"jit"`` forces the compiled bucket core of
     :mod:`repro.kernels.jit` (raising the numba-extra error when
     unavailable), ``"auto"`` takes the compiled core when it is importable
     and the phase clears the (autotunable) ``jit_min_relax_ops`` scan
-    floor, and any numpy matmul name keeps the ``reduceat`` path.  Every
-    choice is bit-identical: the compiled phase buffers its grouped ⊕
-    before writing (synchronous Jacobi, like ``reduceat``) and every
-    shipped ⊕ is an exact selection.
+    floor, and any numpy matmul name keeps the numpy path.  Every choice
+    is bit-identical: both read the same layout, both buffer the grouped ⊕
+    before writing, and every shipped ⊕ is an exact selection.
     """
 
-    __slots__ = ("semiring", "m", "kernel", "_src", "_w", "_starts", "_targets")
+    __slots__ = ("semiring", "m", "kernel", "_src", "_w", "_targets", "_buckets", "_blocks")
 
     def __init__(
         self,
@@ -72,24 +134,27 @@ class EdgeRelaxer:
         semiring: Semiring = MIN_PLUS,
         kernel: str | None = None,
     ) -> None:
+        perm, targets, buckets = bucket_layout(dst)
+        src = np.asarray(src, dtype=np.int64)
+        weight = np.asarray(weight, dtype=semiring.dtype)
+        self._bind(src[perm], weight[perm], targets, buckets, semiring, kernel)
+
+    def _bind(self, src, w, targets, buckets, semiring, kernel) -> None:
         self.semiring = semiring
         self.kernel = kernel
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        weight = np.asarray(weight, dtype=semiring.dtype)
-        self.m = int(src.shape[0])
-        order = np.argsort(dst, kind="stable")
-        self._src = src[order]
-        self._w = weight[order]
-        dst_sorted = dst[order]
-        if self.m:
-            new_group = np.ones(self.m, dtype=bool)
-            new_group[1:] = dst_sorted[1:] != dst_sorted[:-1]
-            self._starts = np.nonzero(new_group)[0]
-            self._targets = dst_sorted[self._starts]
-        else:
-            self._starts = np.empty(0, dtype=np.int64)
-            self._targets = np.empty(0, dtype=np.int64)
+        self._src = src
+        self._w = w
+        self._targets = targets
+        self._buckets = buckets
+        # Per-bucket (k, g) views of the flat arrays: no copies, so arrays
+        # living in shared memory stay zero-copy.
+        blocks, off = [], 0
+        for k, g, _ in buckets.tolist():
+            end = off + k * g
+            blocks.append((src[off:end].reshape(k, g), w[off:end].reshape(k, g)))
+            off = end
+        self._blocks = blocks
+        self.m = int(buckets[:, 2].sum())
 
     @classmethod
     def from_graph(
@@ -102,15 +167,16 @@ class EdgeRelaxer:
         return cls(g.src, g.dst, g.weight, semiring, kernel=kernel)
 
     def compiled(self) -> dict[str, np.ndarray]:
-        """The precomputed (dst-sorted) arrays of this relaxer, for shipping
-        across a process boundary without redoing the argsort — feed to
-        :meth:`from_compiled` on the other side.  The arrays may be
+        """The bucketed layout of this relaxer (see :func:`bucket_layout`):
+        flat ``src`` and ``w`` in layout order, bucket-ordered ``targets``
+        and the ``(B, 3)`` ``buckets`` array.  Feed to :meth:`from_compiled`
+        on the other side of a process boundary; the arrays may be
         published to shared memory and passed as descriptors."""
         return {
             "src": self._src,
             "w": self._w,
-            "starts": self._starts,
             "targets": self._targets,
+            "buckets": self._buckets,
         }
 
     @classmethod
@@ -120,21 +186,18 @@ class EdgeRelaxer:
         semiring: Semiring = MIN_PLUS,
         kernel: str | None = None,
     ) -> "EdgeRelaxer":
-        """Rebuild a relaxer from :meth:`compiled` output (zero sorting; the
+        """Rebuild a relaxer from :meth:`compiled` output (no grouping; the
         arrays are used as-is, so shared-memory views stay zero-copy)."""
         obj = cls.__new__(cls)
-        obj.semiring = semiring
-        obj.kernel = kernel
-        obj._src = arrays["src"]
-        obj._w = arrays["w"]
-        obj._starts = arrays["starts"]
-        obj._targets = arrays["targets"]
-        obj.m = int(obj._src.shape[0])
+        obj._bind(
+            arrays["src"], arrays["w"], arrays["targets"], arrays["buckets"],
+            semiring, kernel,
+        )
         return obj
 
     def _use_jit(self, nrows: int) -> bool:
-        """Whether this phase should run on the compiled CSR core (see the
-        class docstring for the resolution rules)."""
+        """Whether this phase should run on the compiled bucket core (see
+        the class docstring for the resolution rules)."""
         name = self.kernel
         if name is None:
             from .dispatch import get_default_kernel
@@ -157,37 +220,40 @@ class EdgeRelaxer:
             return float(nrows) * self.m >= relax_jit_threshold()
         return False
 
-    def relax(self, dist: np.ndarray, *, ledger: Ledger = NULL_LEDGER) -> bool:
-        """One synchronous phase over ``dist`` of shape ``(..., n)``, in
-        place.  Returns whether any entry strictly improved."""
-        if not self.m:
-            return False
+    def _phase(self, sub: np.ndarray) -> np.ndarray:
+        """One synchronous phase over the 2-D ``sub`` in place; returns the
+        per-row strictly-improved mask."""
         sr = self.semiring
-        rows = int(np.prod(dist.shape[:-1], dtype=np.int64)) if dist.ndim > 1 else 1
-        if dist.ndim <= 2 and self._use_jit(rows):
+        if self._use_jit(sub.shape[0]):
             from . import jit
 
-            view = dist if dist.ndim == 2 else dist[None, :]
-            row_changed = jit.relax_phase(
-                view, self._src, self._w, self._starts, self._targets, sr
+            return jit.relax_phase(
+                sub, self._src, self._w, self._targets, self._buckets, sr
             )
-            ledger.charge(
-                work=float(rows) * self.m,
-                depth=reduce_depth(dist.shape[-1]),
-                label="bf-phase",
-            )
-            return bool(row_changed.any())
-        cand = sr.mul(dist[..., self._src], self._w)
-        grouped = sr.add.reduceat(cand, self._starts, axis=-1)
-        cur = dist[..., self._targets]
-        changed = bool(sr.improves(grouped, cur).any())
-        if changed:
-            dist[..., self._targets] = sr.add(cur, grouped)
-        ledger.charge(
-            work=float(rows) * self.m,
-            depth=reduce_depth(dist.shape[-1]),
-            label="bf-phase",
-        )
+        parts = []
+        for src_b, w_b in self._blocks:
+            cand = np.take(sub, src_b, axis=1)  # (rows, k, g)
+            sr.mul(cand, w_b, out=cand)
+            parts.append(cand[:, 0] if w_b.shape[0] == 1 else sr.add.reduce(cand, axis=1))
+        grouped = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+        cur = sub[:, self._targets]
+        row_changed = sr.improves(grouped, cur).any(axis=1)
+        if row_changed.any():
+            sub[:, self._targets] = sr.add(cur, grouped)
+        return row_changed
+
+    def _charge(self, ledger: Ledger, rows: int, n: int) -> None:
+        ledger.charge(work=float(rows) * self.m, depth=reduce_depth(n), label="bf-phase")
+
+    def relax(self, dist: np.ndarray, *, ledger: Ledger = NULL_LEDGER) -> bool:
+        """One synchronous phase over ``dist`` of shape ``(n,)`` or
+        ``(rows, n)``, in place.  Returns whether any entry strictly
+        improved."""
+        view = _as_rows(dist)
+        if not self.m:
+            return False
+        changed = bool(self._phase(view).any())
+        self._charge(ledger, view.shape[0], view.shape[1])
         return changed
 
     def relax_rows(
@@ -206,42 +272,15 @@ class EdgeRelaxer:
         rows = np.asarray(rows, dtype=np.int64)
         if not self.m or rows.size == 0:
             return rows[:0]
-        sr = self.semiring
         full = rows.size == dist.shape[0] and bool(
             (rows == np.arange(dist.shape[0])).all()
         )
         sub = dist if full else dist[rows]  # full frontier: in place, no gather
-        if self._use_jit(rows.size):
-            from . import jit
-
-            row_changed = jit.relax_phase(
-                sub, self._src, self._w, self._starts, self._targets, sr
-            )
-            ledger.charge(
-                work=float(rows.size) * self.m,
-                depth=reduce_depth(dist.shape[-1]),
-                label="bf-phase",
-            )
-            if not row_changed.any():
-                return rows[:0]
-            if sub is not dist:
-                dist[rows[row_changed]] = sub[row_changed]
-            return rows[row_changed]
-        cand = sr.mul(sub[:, self._src], self._w)
-        grouped = sr.add.reduceat(cand, self._starts, axis=-1)
-        cur = sub[:, self._targets]
-        row_changed = sr.improves(grouped, cur).any(axis=-1)
-        ledger.charge(
-            work=float(rows.size) * self.m,
-            depth=reduce_depth(dist.shape[-1]),
-            label="bf-phase",
-        )
+        row_changed = self._phase(sub)
+        self._charge(ledger, rows.size, dist.shape[-1])
         if not row_changed.any():
             return rows[:0]
-        if sub is dist:
-            dist[:, self._targets] = sr.add(cur, grouped)
-        else:
-            sub[:, self._targets] = sr.add(cur, grouped)
+        if sub is not dist:
             dist[rows[row_changed]] = sub[row_changed]
         return rows[row_changed]
 
@@ -252,8 +291,9 @@ def run_phases(
     *,
     ledger: Ledger = NULL_LEDGER,
 ) -> np.ndarray:
-    """Run a sequence of relaxation phases over ``dist`` in place, frontier-
-    pruning *consecutive runs of the same relaxer object*.
+    """Run a sequence of relaxation phases over ``dist`` (``(n,)`` or
+    ``(rows, n)``) in place, frontier-pruning *consecutive runs of the same
+    relaxer object*.
 
     Within such a run (e.g. the ℓ prefix/suffix full-edge phases of the
     §3.2 schedule, or a Bellman–Ford fixpoint loop) a row the relaxer left
@@ -264,14 +304,7 @@ def run_phases(
     frontier (a row converged under one edge subset may still improve under
     another).
     """
-    if dist.ndim == 1:
-        view = dist[None, :]
-    elif dist.ndim == 2:
-        view = dist
-    else:  # pragma: no cover - no caller relaxes >2-D stacks today
-        for r in relaxers:
-            r.relax(dist, ledger=ledger)
-        return dist
+    view = _as_rows(dist)
     i, n_phases = 0, len(relaxers)
     while i < n_phases:
         r = relaxers[i]

@@ -3,8 +3,8 @@
 Every expensive path in the system — the 3-hop products of Algorithm 4.1,
 the squaring rounds of Algorithm 4.3, the spine Bellman–Ford and every
 served query — bottoms out in two loops: the dense semiring matrix product
-(:func:`repro.kernels.minplus.semiring_matmul`) and the CSR-style frontier
-relaxation (:meth:`repro.kernels.bellman_ford.EdgeRelaxer.relax_rows`).
+(:func:`repro.kernels.minplus.semiring_matmul`) and the degree-bucketed
+frontier relaxation (:meth:`repro.kernels.bellman_ford.EdgeRelaxer.relax_rows`).
 The numpy kernels must materialize ⊕-reduction temporaries; the compiled
 kernels here keep the running ⊕ in a register (an ``i,k,j`` loop with a
 row accumulator, parallelized over output rows), so they beat the best
@@ -255,33 +255,42 @@ def hop_limited_jit(base, hops, semiring, out_pool=None):
 
 
 # ------------------------------------------------------------------ #
-# Relaxation cores: one Jacobi phase over dst-grouped edges.  Rows are
+# Relaxation cores: one Jacobi phase over the degree-bucketed layout of
+# :func:`repro.kernels.bellman_ford.bucket_layout` — per bucket a k-major
+# (k, g) block, so entry [j, h] sits at ``off + j*g + h``.  Rows are
 # independent single-source problems (the PRAM's per-source parallelism),
 # so the phase parallelizes over rows; per row the grouped ⊕ is buffered
 # before any write so the semantics stay synchronous (Jacobi), exactly
-# like the numpy ``reduceat`` path.
+# like the numpy path.  A padded entry repeats a real edge of its head,
+# which a selecting ⊕ absorbs exactly.
 # ------------------------------------------------------------------ #
 
 
 @njit(parallel=True, cache=True)
-def _relax_min_plus(dist, src, w, starts, targets):
+def _relax_min_plus(dist, src, w, targets, buckets):
     rows = dist.shape[0]
-    ngroups = starts.shape[0]
-    m = src.shape[0]
+    nheads = targets.shape[0]
     changed = np.zeros(rows, np.bool_)
     for r in prange(rows):
-        grouped = np.empty(ngroups, np.float64)
-        for gi in range(ngroups):
-            e1 = starts[gi + 1] if gi + 1 < ngroups else m
-            e = starts[gi]
-            acc = dist[r, src[e]] + w[e]
-            for e in range(starts[gi] + 1, e1):
-                cand = dist[r, src[e]] + w[e]
-                if cand < acc:
-                    acc = cand
-            grouped[gi] = acc
+        grouped = np.empty(nheads, np.float64)
+        off = 0
+        hoff = 0
+        for b in range(buckets.shape[0]):
+            k = buckets[b, 0]
+            g = buckets[b, 1]
+            for h in range(g):
+                e = off + h
+                acc = dist[r, src[e]] + w[e]
+                for j in range(1, k):
+                    e = off + j * g + h
+                    cand = dist[r, src[e]] + w[e]
+                    if cand < acc:
+                        acc = cand
+                grouped[hoff + h] = acc
+            off += k * g
+            hoff += g
         rowch = False
-        for gi in range(ngroups):
+        for gi in range(nheads):
             t = targets[gi]
             if grouped[gi] < dist[r, t]:
                 dist[r, t] = grouped[gi]
@@ -291,26 +300,32 @@ def _relax_min_plus(dist, src, w, starts, targets):
 
 
 @njit(parallel=True, cache=True)
-def _relax_max_min(dist, src, w, starts, targets):
+def _relax_max_min(dist, src, w, targets, buckets):
     rows = dist.shape[0]
-    ngroups = starts.shape[0]
-    m = src.shape[0]
+    nheads = targets.shape[0]
     changed = np.zeros(rows, np.bool_)
     for r in prange(rows):
-        grouped = np.empty(ngroups, np.float64)
-        for gi in range(ngroups):
-            e1 = starts[gi + 1] if gi + 1 < ngroups else m
-            e = starts[gi]
-            d = dist[r, src[e]]
-            acc = d if d < w[e] else w[e]
-            for e in range(starts[gi] + 1, e1):
+        grouped = np.empty(nheads, np.float64)
+        off = 0
+        hoff = 0
+        for b in range(buckets.shape[0]):
+            k = buckets[b, 0]
+            g = buckets[b, 1]
+            for h in range(g):
+                e = off + h
                 d = dist[r, src[e]]
-                cand = d if d < w[e] else w[e]
-                if cand > acc:
-                    acc = cand
-            grouped[gi] = acc
+                acc = d if d < w[e] else w[e]
+                for j in range(1, k):
+                    e = off + j * g + h
+                    d = dist[r, src[e]]
+                    cand = d if d < w[e] else w[e]
+                    if cand > acc:
+                        acc = cand
+                grouped[hoff + h] = acc
+            off += k * g
+            hoff += g
         rowch = False
-        for gi in range(ngroups):
+        for gi in range(nheads):
             t = targets[gi]
             if grouped[gi] > dist[r, t]:
                 dist[r, t] = grouped[gi]
@@ -320,26 +335,32 @@ def _relax_max_min(dist, src, w, starts, targets):
 
 
 @njit(parallel=True, cache=True)
-def _relax_min_max(dist, src, w, starts, targets):
+def _relax_min_max(dist, src, w, targets, buckets):
     rows = dist.shape[0]
-    ngroups = starts.shape[0]
-    m = src.shape[0]
+    nheads = targets.shape[0]
     changed = np.zeros(rows, np.bool_)
     for r in prange(rows):
-        grouped = np.empty(ngroups, np.float64)
-        for gi in range(ngroups):
-            e1 = starts[gi + 1] if gi + 1 < ngroups else m
-            e = starts[gi]
-            d = dist[r, src[e]]
-            acc = d if d > w[e] else w[e]
-            for e in range(starts[gi] + 1, e1):
+        grouped = np.empty(nheads, np.float64)
+        off = 0
+        hoff = 0
+        for b in range(buckets.shape[0]):
+            k = buckets[b, 0]
+            g = buckets[b, 1]
+            for h in range(g):
+                e = off + h
                 d = dist[r, src[e]]
-                cand = d if d > w[e] else w[e]
-                if cand < acc:
-                    acc = cand
-            grouped[gi] = acc
+                acc = d if d > w[e] else w[e]
+                for j in range(1, k):
+                    e = off + j * g + h
+                    d = dist[r, src[e]]
+                    cand = d if d > w[e] else w[e]
+                    if cand < acc:
+                        acc = cand
+                grouped[hoff + h] = acc
+            off += k * g
+            hoff += g
         rowch = False
-        for gi in range(ngroups):
+        for gi in range(nheads):
             t = targets[gi]
             if grouped[gi] < dist[r, t]:
                 dist[r, t] = grouped[gi]
@@ -349,23 +370,29 @@ def _relax_min_max(dist, src, w, starts, targets):
 
 
 @njit(parallel=True, cache=True)
-def _relax_bool(dist, src, w, starts, targets):
+def _relax_bool(dist, src, w, targets, buckets):
     rows = dist.shape[0]
-    ngroups = starts.shape[0]
-    m = src.shape[0]
+    nheads = targets.shape[0]
     changed = np.zeros(rows, np.bool_)
     for r in prange(rows):
-        grouped = np.empty(ngroups, np.bool_)
-        for gi in range(ngroups):
-            e1 = starts[gi + 1] if gi + 1 < ngroups else m
-            acc = False
-            for e in range(starts[gi], e1):
-                if dist[r, src[e]] and w[e]:
-                    acc = True
-                    break
-            grouped[gi] = acc
+        grouped = np.empty(nheads, np.bool_)
+        off = 0
+        hoff = 0
+        for b in range(buckets.shape[0]):
+            k = buckets[b, 0]
+            g = buckets[b, 1]
+            for h in range(g):
+                acc = False
+                for j in range(k):
+                    e = off + j * g + h
+                    if dist[r, src[e]] and w[e]:
+                        acc = True
+                        break
+                grouped[hoff + h] = acc
+            off += k * g
+            hoff += g
         rowch = False
-        for gi in range(ngroups):
+        for gi in range(nheads):
             t = targets[gi]
             if grouped[gi] and not dist[r, t]:
                 dist[r, t] = True
@@ -383,16 +410,19 @@ _RELAX_CORES = {
 }
 
 
-def relax_phase(dist, src, w, starts, targets, semiring):
-    """One synchronous relaxation phase over ``dist`` (2-D, in place).
+def relax_phase(dist, src, w, targets, buckets, semiring):
+    """One synchronous relaxation phase over ``dist`` (2-D, in place) on
+    the degree-bucketed layout (``src``/``w`` in layout order, bucket-
+    ordered ``targets``, ``(B, 3)`` ``buckets`` of ``(k, g, edges)``).
 
     Returns the per-row strictly-improved mask.  Bit-identical to the
-    numpy ``reduceat`` path of :class:`~repro.kernels.bellman_ford.
-    EdgeRelaxer`: the grouped ⊕ is computed from the pre-phase values
-    before any write, and every ⊕ is an exact selection.
+    numpy path of :class:`~repro.kernels.bellman_ford.EdgeRelaxer`: the
+    grouped ⊕ is computed from the pre-phase values before any write, each
+    head's edges are ⊕-ed in the same order, and every ⊕ is an exact
+    selection.
     """
     core = _RELAX_CORES[semiring.name]
-    return core(dist, src, w, starts, targets)
+    return core(dist, src, w, targets, buckets)
 
 
 # ------------------------------------------------------------------ #
@@ -416,18 +446,18 @@ def warm_up(include_bool: bool = True) -> float:
     for fn in (_mm_min_plus, _mm_max_min, _mm_min_max):
         fn(a, a, out, False)
     src = np.array([0, 1], dtype=np.int64)
-    starts = np.array([0, 1], dtype=np.int64)
     targets = np.array([0, 1], dtype=np.int64)
+    buckets = np.array([[1, 2, 2]], dtype=np.int64)
     d = np.array([[0.0, np.inf]])
     for fn in (_relax_min_plus, _relax_max_min, _relax_min_max):
-        fn(d.copy(), src, np.array([1.0, 2.0]), starts, targets)
+        fn(d.copy(), src, np.array([1.0, 2.0]), targets, buckets)
     if include_bool:
         ab = np.array([[True, False], [False, True]])
         outb = np.empty((2, 2), np.bool_)
         _mm_bool(ab, ab, outb, False)
         _relax_bool(
             np.array([[True, False]]), src,
-            np.array([True, True]), starts, targets,
+            np.array([True, True]), targets, buckets,
         )
     return time.perf_counter() - t0
 

@@ -9,7 +9,8 @@ the min-plus kernel it parallelizes.  This module removes both copies:
   descriptors ``(segment, offset, shape, dtype)``;
 * workers resolve descriptors to zero-copy numpy *views* of the same
   physical pages (:func:`as_array` / :func:`resolve`), attaching each
-  segment at most once per process;
+  segment at most once per process and unmapping segments whose owner
+  has unlinked them on request (:func:`release_unlinked`);
 * output blocks are pre-allocated by the orchestrator, so workers write
   results in place and return only scalars — task traffic is O(1) bytes
   per task regardless of matrix sizes.
@@ -43,6 +44,7 @@ __all__ = [
     "ShmArena",
     "as_array",
     "resolve",
+    "release_unlinked",
     "orphaned_segments",
     "SEGMENT_PREFIX",
 ]
@@ -50,6 +52,9 @@ __all__ = [
 #: Prefix of every segment created by this module — the leak checker greps
 #: ``/dev/shm`` for it.
 SEGMENT_PREFIX = "psp"
+
+#: Where POSIX shared-memory segments appear as files.
+_SHM_DIR = "/dev/shm"
 
 #: Alignment of every arena allocation (one cache line — keeps adjacent
 #: blocks from false-sharing and keeps dtypes aligned).
@@ -153,6 +158,22 @@ def resolve(obj: Any) -> Any:
         return out
 
     return walk(obj)
+
+
+def release_unlinked() -> None:
+    """Unmap every segment this process attached whose owner has since
+    unlinked it.
+
+    A worker attaches each segment once and keeps the mapping for reuse,
+    so after an owner closes an arena its pages stay resident in every
+    worker that touched it until this is called.  Callers must drop their
+    views of the retired data first: numpy arrays over ``seg.buf`` do not
+    pin the mapping, so a view that outlives the unmap reads freed pages."""
+    if not os.path.isdir(_SHM_DIR):  # pragma: no cover - non-POSIX fallback
+        return
+    for name in list(_ATTACHED):
+        if not os.path.exists(os.path.join(_SHM_DIR, name)):
+            _ATTACHED.pop(name).close()
 
 
 def _unlink_segments(segments: list[shared_memory.SharedMemory]) -> None:
@@ -313,7 +334,6 @@ def orphaned_segments(prefix: str = SEGMENT_PREFIX) -> list[str]:
     After every arena is closed this must be empty — the leak invariant
     checked by the test suite and ``tools/check_shm_leaks.py``.
     """
-    base = "/dev/shm"
-    if not os.path.isdir(base):  # pragma: no cover - non-POSIX fallback
+    if not os.path.isdir(_SHM_DIR):  # pragma: no cover - non-POSIX fallback
         return []
-    return sorted(f for f in os.listdir(base) if f.startswith(prefix))
+    return sorted(f for f in os.listdir(_SHM_DIR) if f.startswith(prefix))

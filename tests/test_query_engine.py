@@ -10,7 +10,11 @@ import pytest
 from repro.core.api import ShortestPathOracle
 from repro.core.query import QueryEngine
 from repro.core.sssp import sssp_naive, sssp_scheduled
-from repro.pram.shm import orphaned_segments
+from repro.kernels.bellman_ford import initial_distances
+from repro.pram.machine import Ledger
+from repro.pram.shm import SEGMENT_PREFIX, orphaned_segments
+from repro.separators.grid import decompose_grid
+from repro.workloads.generators import grid_digraph
 from tests.conftest import assert_distances_equal, reference_apsp
 
 BACKENDS = [
@@ -18,6 +22,16 @@ BACKENDS = [
     "thread:2",
     pytest.param("shm:2", marks=pytest.mark.multiproc),
 ]
+
+
+def _unlinked_mappings(pid: int) -> int:
+    """Distinct unlinked shared segments mapped into process ``pid``."""
+    with open(f"/proc/{pid}/maps") as fh:
+        return len({
+            line.split(None, 5)[5]
+            for line in fh
+            if f"/dev/shm/{SEGMENT_PREFIX}" in line and line.rstrip().endswith("(deleted)")
+        })
 
 
 @pytest.fixture
@@ -39,6 +53,28 @@ class TestEquivalence:
         assert np.array_equal(got, want)
         assert np.array_equal(again, want)
         assert orphaned_segments() == []
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("mode", ["scheduled", "naive"])
+    def test_edge_scans_are_real_work(self, oracle, rng, backend, mode):
+        """Every executor reports the edge scans its shards actually ran,
+        and the count equals a serial ledger of the same batch."""
+        srcs = rng.integers(0, oracle.graph.n, size=17)
+        aug = oracle.augmentation
+        ledger = Ledger()
+        dist = initial_distances(oracle.graph.n, srcs, aug.semiring)
+        if mode == "scheduled":
+            aug.schedule().run(dist, ledger=ledger)
+        else:
+            active = np.arange(srcs.size)
+            for _ in range(aug.diameter_bound):
+                active = aug.relaxer().relax_rows(dist, active, ledger=ledger)
+        with oracle.query_engine(executor=backend, engine=mode) as eng:
+            got, info = eng.submit(srcs)
+            assert eng.stats()["last_batch"]["edge_scans"] == info["edge_scans"]
+        assert np.array_equal(got, dist)
+        assert ledger.work > 0
+        assert info["edge_scans"] == ledger.work
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_matches_reference_apsp(self, grid6_negative, backend):
@@ -125,6 +161,25 @@ class TestLifecycle:
     def test_invalid_engine_rejected(self, oracle):
         with pytest.raises(ValueError):
             QueryEngine(oracle.augmentation, engine="warp")
+
+    @pytest.mark.multiproc
+    def test_workers_unmap_retired_generations(self, rng):
+        """After N reweights the unlinked segments any pool worker still
+        maps stay bounded independently of N: a new generation evicts the
+        old one worker-side and unmaps what its owner unlinked."""
+        g = grid_digraph((24, 24), rng)
+        tree = decompose_grid(g, (24, 24), leaf_size=8)
+        oracle = ShortestPathOracle.build(g, tree, method="leaves_up")
+        srcs = rng.integers(0, g.n, size=64)
+        stale = []
+        with QueryEngine(oracle.augmentation, executor="shm:2") as eng:
+            for _ in range(10):
+                oracle = oracle.with_new_weights(rng.uniform(1.0, 9.0, size=g.m))
+                eng.reweight(oracle.augmentation)
+                eng.query(srcs)
+                stale.append(max(_unlinked_mappings(pid) for pid in eng._exe._pool._processes))
+        assert max(stale) <= 2, stale
+        assert orphaned_segments() == []
 
     @pytest.mark.multiproc
     def test_close_releases_segments(self, oracle):

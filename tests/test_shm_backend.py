@@ -121,15 +121,33 @@ class TestShmArena:
             distinct = len({id(ph) for ph in phases})
             assert distinct < len(phases)  # the workload does repeat phases
             spec = {
-                "token": "test-repeated-phases",
+                "engine_id": "test-repeated-phases",
+                "token": "test-repeated-phases.0",
                 "semiring": aug.semiring.name,
                 "kernel": aug.kernel,
                 "phases": phases,
             }
             got = _shard_relaxers(resolve(pickle.loads(pickle.dumps(spec))))
-            _ENGINE_CACHE.pop(spec["token"])
+            _ENGINE_CACHE.pop(spec["engine_id"])
             assert len(got) == len(phases)
             assert len({id(r) for r in got}) == distinct
+
+    def test_release_unlinked_unmaps_only_unlinked_segments(self):
+        from repro.pram import shm
+
+        closing, live = ShmArena(), ShmArena()
+        ref = closing.publish(np.arange(4.0))
+        live_ref = live.publish(np.ones(2))
+        assert as_array(ref).sum() == 6.0 and as_array(live_ref).sum() == 2.0
+        closing.close()
+        shm.release_unlinked()
+        assert ref.segment not in shm._ATTACHED
+        assert live_ref.segment in shm._ATTACHED
+        assert as_array(live_ref).sum() == 2.0
+        live.close()
+        shm.release_unlinked()
+        assert live_ref.segment not in shm._ATTACHED
+        assert orphaned_segments() == []
 
     def test_close_is_idempotent_and_unlinks(self):
         arena = ShmArena()
